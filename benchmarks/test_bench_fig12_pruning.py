@@ -42,7 +42,7 @@ def test_agreement_on_random_problems():
         problem = random_word_problem(random.Random(seed), n_calls=4, n_plain=4)
         eager = analyze_safe(problem.word, problem.output_types, problem.target)
         lazy = analyze_safe_lazy(
-            problem.word, problem.output_types, problem.target, early_exit=False
+            problem.word, problem.output_types, problem.target
         )
         assert eager.exists == lazy.exists
         saved.append(eager.stats.product_explored - lazy.stats.product_explored)
@@ -63,7 +63,7 @@ def test_pruning_helps_on_narrow_targets():
         problem = wide_problem(width, safe=False)  # outputs b|c, target b^n
         eager = analyze_safe(problem.word, problem.output_types, problem.target)
         lazy = analyze_safe_lazy(
-            problem.word, problem.output_types, problem.target, early_exit=False
+            problem.word, problem.output_types, problem.target
         )
         assert eager.exists == lazy.exists
         total_saved += (
@@ -85,7 +85,7 @@ def test_lazy_time(benchmark):
     benchmark(lambda: analyze_safe_lazy(WORD, outputs, TARGET2, k=1))
 
 
-def test_lazy_early_exit_time_on_unsafe(benchmark):
+def test_lazy_time_on_unsafe(benchmark):
     outputs = newspaper_outputs()
     analysis = benchmark(
         lambda: analyze_safe_lazy(WORD, outputs, TARGET3, k=1)

@@ -17,10 +17,6 @@ The touch counts and both timings land in the benchmark JSON via
 
 import time
 
-import pytest
-
-from repro.automata.core import BITSET, DICT, using_core
-
 from repro import (
     AXMLPeer,
     FunctionSignature,
@@ -87,19 +83,15 @@ def null_touch_cost(iterations=200_000):
     return (time.perf_counter() - started) / iterations
 
 
-@pytest.mark.parametrize("core", [DICT, BITSET], ids=["dict", "bitset"])
-def test_null_tracer_overhead_under_five_percent(benchmark, core):
+def test_null_tracer_overhead_under_five_percent(benchmark):
     """The instrumented-but-untraced exchange stays within the budget.
 
-    Parametrized over both automata cores: the bitset core shrinks the
-    game's share of the exchange, so the same touch count must fit in a
-    smaller wall-clock budget — the harder half of the bound.
+    The bitset game keeps the exchange's game share small, so the touch
+    count must fit in a tight wall-clock budget.
     """
-    with using_core(core):
-        exchange_seconds = benchmark(run_exchange, ResiliencePolicy())
-
-        n_spans, n_events = count_touches()
-        per_touch = null_touch_cost()
+    benchmark(run_exchange, ResiliencePolicy())
+    n_spans, n_events = count_touches()
+    per_touch = null_touch_cost()
     touches = n_spans + n_events
     # Each touch above bundles a span, an attribute set, an event and a
     # metric call — strictly more work than most real sites do.

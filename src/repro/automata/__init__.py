@@ -15,9 +15,10 @@ from the regular expressions of schemas:
   minimization;
 - :mod:`repro.automata.ops` — emptiness, inclusion, equivalence and word
   enumeration/sampling used by tests, Section 6 and the service simulator;
-- :mod:`repro.automata.bitset` — the flat, integer-indexed re-encoding
-  of the same pipeline (state sets as int bitsets, antichain inclusion),
-  selected via ``REPRO_AUTOMATA_CORE`` (:mod:`repro.automata.core`).
+- :mod:`repro.automata.bitset` — the flat, integer-indexed encoding
+  the games and inclusion checks run on (state sets as int bitsets,
+  antichain inclusion); dict DFAs remain the data view executors and
+  renderers read.
 """
 
 from repro.automata.bitset import (
@@ -30,7 +31,6 @@ from repro.automata.bitset import (
     bit_subset,
     from_dfa,
 )
-from repro.automata.core import BITSET, DICT, active_core, use_bitset, using_core
 from repro.automata.dfa import (
     DFA,
     complement,
@@ -93,9 +93,4 @@ __all__ = [
     "bit_subset",
     "bit_intersects",
     "antichain_language_subset",
-    "BITSET",
-    "DICT",
-    "active_core",
-    "use_bitset",
-    "using_core",
 ]

@@ -1,12 +1,12 @@
 """Flat, integer-indexed automata with bitset state sets.
 
-This is the raw-speed re-encoding of the Figure 3 pipeline: alphabet
-symbols interned to dense ints, transition tables as per-symbol flat
-tuples, and every state *set* — subset-construction subsets, Hopcroft
+This is the encoding the Figure 3 pipeline runs on: alphabet symbols
+interned to dense ints, transition tables as per-symbol flat tuples,
+and every state *set* — subset-construction subsets, Hopcroft
 splitters, reachability frontiers, marking regions — a single Python
 ``int`` used as a bitmask.  Set union/intersection/difference become
-``|``/``&``/``&~`` on machine words, which is where the ≥10x over the
-dict-of-dicts core comes from: the dominant loops run in C.
+``|``/``&``/``&~`` on machine words, which is where the ≥10x over
+dict-of-dicts automata comes from: the dominant loops run in C.
 
 The encoding is *canonical-compatible* with the dict pipeline:
 :func:`bit_determinize` numbers subsets in BFS order over the sorted
@@ -211,8 +211,7 @@ class BitDFA:
             self._img_singles = [
                 [1 << target for target in row] for row in self.delta
             ]
-            record_work(obs.metrics(), "tables",
-                        {"image_singles": 1}, core="bitset")
+            record_work(obs.metrics(), "tables", {"image_singles": 1})
         return self._img_singles
 
     def preimage_tables(self) -> List[List[List[int]]]:
@@ -224,8 +223,7 @@ class BitDFA:
                 self._pre_tables[a] = self._chunk_tables(list(pred[a]))
                 built += 1
         if built:
-            record_work(obs.metrics(), "tables",
-                        {"preimage_tables": built}, core="bitset")
+            record_work(obs.metrics(), "tables", {"preimage_tables": built})
         return [self._pre_tables[a] for a in range(len(self.symbols))]
 
     def image_tables(self) -> List[List[List[int]]]:
@@ -244,8 +242,7 @@ class BitDFA:
                 )
                 built += 1
         if built:
-            record_work(obs.metrics(), "tables",
-                        {"image_tables": built}, core="bitset")
+            record_work(obs.metrics(), "tables", {"image_tables": built})
         return [self._img_tables[a] for a in range(len(self.symbols))]
 
     def reachable_mask(self) -> int:
@@ -594,6 +591,5 @@ def antichain_language_subset(
             metrics, "subset",
             {"antichain_pairs": pairs,
              "antichain_size": sum(len(v) for v in antichain.values())},
-            core="bitset",
         )
     return result

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Tuple
 
-from repro.automata.dfa import DFA, complement, complete, determinize
+from repro.automata.bitset import bit_intersects, bit_subset, from_dfa
+from repro.automata.dfa import DFA, determinize
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.symbols import Alphabet, regex_symbols
 from repro.obs import context as obs
-from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
 
 
@@ -41,130 +41,40 @@ def is_empty(dfa: DFA) -> bool:
     return True
 
 
-def _product(left: DFA, right: DFA, minimized: bool = False) -> Tuple[DFA, dict]:
-    """Synchronous product of two complete DFAs over the same alphabet.
-
-    Returns the product DFA (acceptance left to the caller to define) and
-    the mapping from product ids back to state pairs.  Each build is
-    reported to the observability layer (a ``product`` span with the
-    operand and product sizes, plus the ``repro_dfa_product_states``
-    histogram) — inclusion/equivalence checks are where the Section 6
-    compatibility test spends its time.  ``minimized`` records whether
-    the caller fed Hopcroft-minimized operands, so before/after product
-    sizes are separable in the histogram.
-    """
-    label = "true" if minimized else "false"
-    with obs.tracer().span(
-        "product", op="dfa", left_states=left.n_states,
-        right_states=right.n_states, minimized=label,
-    ) as span:
-        product, pairs = _product_inner(left, right)
-        span.set(product_states=len(pairs))
-    metrics = obs.metrics()
-    if metrics.enabled:
-        metrics.histogram(
-            "repro_dfa_product_states", "Synchronous DFA product sizes"
-        ).observe(len(pairs), minimized=label)
-        record_work(
-            metrics, "product",
-            {"dfa_products": 1, "product_states": len(pairs)},
-            core="dict",
-        )
-    return product, pairs
-
-
-def _product_inner(left: DFA, right: DFA) -> Tuple[DFA, dict]:
-    if left.alphabet.symbols != right.alphabet.symbols:
-        from repro.automata.dfa import widen_alphabet
-
-        merged = Alphabet.closure(left.alphabet.symbols, right.alphabet.symbols)
-        left = widen_alphabet(left, merged)
-        right = widen_alphabet(right, merged)
-    left = complete(left)
-    right = complete(right)
-    ids = {(left.initial, right.initial): 0}
-    pairs = {0: (left.initial, right.initial)}
-    worklist = [(left.initial, right.initial)]
-    transitions: dict = {}
-    while worklist:
-        pair = worklist.pop()
-        source = ids[pair]
-        row = transitions.setdefault(source, {})
-        for symbol in left.alphabet:
-            target = (
-                left.transitions[pair[0]][symbol],
-                right.transitions[pair[1]][symbol],
-            )
-            if target not in ids:
-                ids[target] = len(ids)
-                pairs[ids[target]] = target
-                worklist.append(target)
-            row[symbol] = ids[target]
-    product = DFA(left.alphabet, 0, frozenset(), transitions)
-    return product, pairs
-
-
-def intersects(left: DFA, right: DFA, minimized: bool = False) -> bool:
+def intersects(left: DFA, right: DFA) -> bool:
     """True iff the two languages share at least one word.
 
-    On the bitset core (``REPRO_AUTOMATA_CORE=bitset``) this is an
-    early-exit pair search over flat transition tables — no product
+    An early-exit pair search over flat transition tables
+    (:func:`repro.automata.bitset.bit_intersects`) — no product
     automaton is materialized.
     """
-    from repro.automata import core as automata_core
-
-    if automata_core.use_bitset():
-        from repro.automata.bitset import bit_intersects, from_dfa
-
-        with obs.tracer().span(
-            "product", op="bitset", left_states=left.n_states,
-            right_states=right.n_states,
-        ):
-            return bit_intersects(from_dfa(left), from_dfa(right))
-    product, pairs = _product(left, right, minimized=minimized)
-    accepting = frozenset(
-        pid
-        for pid, (l, r) in pairs.items()
-        if l in left.accepting and r in right.accepting
-    )
-    return not is_empty(
-        DFA(product.alphabet, product.initial, accepting, product.transitions)
-    )
+    with obs.tracer().span(
+        "product", op="bitset", left_states=left.n_states,
+        right_states=right.n_states,
+    ):
+        return bit_intersects(from_dfa(left), from_dfa(right))
 
 
-def language_subset(left: DFA, right: DFA, minimized: bool = False) -> bool:
+def language_subset(left: DFA, right: DFA) -> bool:
     """True iff ``lang(left) ⊆ lang(right)``.
 
-    Pass ``minimized=True`` when the operands are already
-    Hopcroft-minimized (complementation preserves both completeness and
-    minimality), so the product-size histogram attributes the build
-    correctly.
-
-    On the bitset core the complement is never built: an early-exit pair
-    search fails on the first reachable pair accepting on the left but
-    not on the right.  (For inclusion against a *nondeterministic*
-    automaton, see :func:`repro.automata.bitset.antichain_language_subset`
-    — cached as ``CompilationCache.antichain_subset`` — which also skips
-    the subset construction.)
+    The complement is never built: an early-exit pair search fails on
+    the first reachable pair accepting on the left but not on the right.
+    (For inclusion against a *nondeterministic* automaton, see
+    :func:`repro.automata.bitset.antichain_language_subset` — cached as
+    ``CompilationCache.antichain_subset`` — which also skips the subset
+    construction.)
     """
-    from repro.automata import core as automata_core
-
-    if automata_core.use_bitset():
-        from repro.automata.bitset import bit_subset, from_dfa
-
-        with obs.tracer().span(
-            "product", op="bitset", left_states=left.n_states,
-            right_states=right.n_states,
-        ):
-            return bit_subset(from_dfa(left), from_dfa(right))
-    return not intersects(left, complement(right), minimized=minimized)
+    with obs.tracer().span(
+        "product", op="bitset", left_states=left.n_states,
+        right_states=right.n_states,
+    ):
+        return bit_subset(from_dfa(left), from_dfa(right))
 
 
-def language_equal(left: DFA, right: DFA, minimized: bool = False) -> bool:
+def language_equal(left: DFA, right: DFA) -> bool:
     """True iff the two automata define the same language."""
-    return language_subset(left, right, minimized=minimized) and language_subset(
-        right, left, minimized=minimized
-    )
+    return language_subset(left, right) and language_subset(right, left)
 
 
 def shortest_words(dfa: DFA, limit: int = 10) -> Iterator[Tuple[str, ...]]:

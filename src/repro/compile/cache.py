@@ -44,7 +44,7 @@ from repro.automata.bitset import (
     bit_determinize,
     bit_minimize,
 )
-from repro.automata.dfa import DFA, complement as complement_dfa, determinize, minimize_hopcroft
+from repro.automata.dfa import DFA
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.nfa import NFA
 from repro.automata.symbols import Alphabet
@@ -193,38 +193,12 @@ class CompilationCache:
         key = ("nfa", self.digest(r))
         return self._get_or_build(key, "nfa", lambda: glushkov_nfa(r))
 
-    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """The complete, Hopcroft-minimized DFA of ``target``.
+    def bit_target_dfa(self, target: Regex, alphabet: Alphabet) -> BitDFA:
+        """The complete, minimized :class:`BitDFA` of ``target``.
 
         This is the automaton ``A`` of Figure 9 — and the front half of
         the complement pipeline of Figure 3 step 4.
         """
-        key = ("dfa", self.digest(target), self.alphabet_key(alphabet))
-        return self._get_or_build(
-            key, "dfa",
-            lambda: minimize_hopcroft(determinize(self.nfa(target), alphabet)),
-        )
-
-    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """The complete minimized complement ``Ā`` (Figure 3 step 4)."""
-        key = ("comp", self.digest(target), self.alphabet_key(alphabet))
-        return self._get_or_build(
-            key, "comp",
-            lambda: complement_dfa(self.target_dfa(target, alphabet)),
-        )
-
-    # -- the bitset core's artifacts -----------------------------------------
-    #
-    # Same pipeline on flat integer-indexed automata.  The artifacts are
-    # keyed under distinct kind tags ("bitdfa"/"bitcomp"/…) so both cores
-    # share one store — in memory and on disk — without collisions, and
-    # the dict-DFA *views* are cached too: by the canonical-numbering
-    # identity (see :mod:`repro.automata.bitset`) they are byte-identical
-    # to what the dict pipeline would compile, at the cost of one
-    # ``to_dfa`` per content digest instead of a determinization.
-
-    def bit_target_dfa(self, target: Regex, alphabet: Alphabet) -> BitDFA:
-        """The complete minimized :class:`BitDFA` of ``target``."""
         key = ("bitdfa", self.digest(target), self.alphabet_key(alphabet))
         return self._get_or_build(
             key, "bitdfa",
@@ -232,23 +206,31 @@ class CompilationCache:
         )
 
     def bit_complement(self, target: Regex, alphabet: Alphabet) -> BitDFA:
-        """The complete minimized complement ``Ā`` as a :class:`BitDFA`."""
+        """The complete minimized complement ``Ā`` (Figure 3 step 4)."""
         key = ("bitcomp", self.digest(target), self.alphabet_key(alphabet))
         return self._get_or_build(
             key, "bitcomp",
             lambda: bit_complement_of(self.bit_target_dfa(target, alphabet)),
         )
 
-    def target_dfa_view(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """Dict-DFA view of :meth:`bit_target_dfa` (numbering-identical)."""
+    # -- dict-DFA views ------------------------------------------------------
+    #
+    # Executors, renderers and the Section 6 signature check read dict
+    # DFAs.  By the canonical-numbering identity (see
+    # :mod:`repro.automata.bitset`) ``to_dfa()`` of a minimized BitDFA is
+    # byte-identical to ``minimize_hopcroft(determinize(nfa))``, so each
+    # view costs one conversion per content digest, not a determinization.
+
+    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
+        """The complete, Hopcroft-minimized DFA of ``target`` (a view)."""
         key = ("bitdfaview", self.digest(target), self.alphabet_key(alphabet))
         return self._get_or_build(
             key, "bitdfaview",
             lambda: self.bit_target_dfa(target, alphabet).to_dfa(),
         )
 
-    def complement_view(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """Dict-DFA view of :meth:`bit_complement` (numbering-identical)."""
+    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
+        """The complete minimized complement ``Ā`` as a DFA (a view)."""
         key = ("bitcompview", self.digest(target), self.alphabet_key(alphabet))
         return self._get_or_build(
             key, "bitcompview",
@@ -472,22 +454,16 @@ class NullCompilationCache:
     def nfa(self, r: Regex) -> NFA:
         return glushkov_nfa(r)
 
-    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
-        return minimize_hopcroft(determinize(glushkov_nfa(target), alphabet))
-
-    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
-        return complement_dfa(self.target_dfa(target, alphabet))
-
     def bit_target_dfa(self, target: Regex, alphabet: Alphabet) -> BitDFA:
         return bit_minimize(bit_determinize(glushkov_nfa(target), alphabet))
 
     def bit_complement(self, target: Regex, alphabet: Alphabet) -> BitDFA:
         return bit_complement_of(self.bit_target_dfa(target, alphabet))
 
-    def target_dfa_view(self, target: Regex, alphabet: Alphabet) -> DFA:
+    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
         return self.bit_target_dfa(target, alphabet).to_dfa()
 
-    def complement_view(self, target: Regex, alphabet: Alphabet) -> DFA:
+    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
         return self.bit_complement(target, alphabet).to_dfa()
 
     def antichain_subset(

@@ -24,7 +24,7 @@ import tempfile
 from typing import Any, Optional, Tuple
 
 #: Bumped whenever the pickled artifact layout changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGIC = "repro-compile-cache"
 

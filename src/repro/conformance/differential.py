@@ -44,7 +44,6 @@ from repro.conformance.reference import (
     reference_possible,
     reference_safe,
 )
-from repro.automata.core import using_core
 from repro.errors import ReproError, TransientFault
 from repro.obs import MetricsRegistry, Tracer, observing
 from repro.rewriting.engine import RewriteEngine
@@ -64,7 +63,6 @@ class EngineConfig:
     observed: bool = False
     resilient: bool = False
     shared_cache: bool = False  # share one compilation cache across seeds
-    core: str = "dict"  # automata core: "dict" or "bitset"
     #: Run the streaming enforcement pipeline (SAX parse + close-time
     #: rewriting + incremental emission) instead of the DOM path.  Skipped
     #: on possible-mode scenarios, which streaming rejects by design.
@@ -104,7 +102,6 @@ DEFAULT_MATRIX: Tuple[EngineConfig, ...] = (
     EngineConfig("traced", observed=True),
     EngineConfig("resilient", resilient=True),
     EngineConfig("shared-cache", shared_cache=True),
-    EngineConfig("bitset-core", core="bitset"),
     EngineConfig("streamed", streamed=True),
 )
 
@@ -114,8 +111,7 @@ SELF_TEST_MATRIX: Tuple[EngineConfig, ...] = DEFAULT_MATRIX + (
 )
 
 #: The matrix the incremental-vs-full edit oracle runs over: the five
-#: enforcement-relevant configurations plus the bitset automata core.
-#: (``shared-cache`` is omitted — a session *is* a shared-cache run; the
+#: enforcement-relevant configurations.  (``shared-cache`` is omitted — a session *is* a shared-cache run; the
 #: within-config oracle compares it against compile-cold full passes
 #: anyway.)
 EDIT_MATRIX: Tuple[EngineConfig, ...] = (
@@ -124,7 +120,6 @@ EDIT_MATRIX: Tuple[EngineConfig, ...] = (
     EngineConfig("eager-game", lazy=False),
     EngineConfig("traced", observed=True),
     EngineConfig("resilient", resilient=True),
-    EngineConfig("bitset-core", core="bitset"),
 )
 
 #: The edit matrix with a deliberately broken member, for self-tests.
@@ -252,21 +247,8 @@ def run_word_scenario(
     lazy = analyze_safe_lazy(word, outputs, target, k).exists
     possible = analyze_possible(word, outputs, target, k).exists
 
-    # The bitset core must reproduce every dict-core verdict exactly.
-    with using_core("bitset"):
-        bit_eager = analyze_safe(word, outputs, target, k).exists
-        bit_lazy = analyze_safe_lazy(word, outputs, target, k).exists
-        bit_possible = analyze_possible(word, outputs, target, k).exists
-
     if eager != lazy:
         note("lazy-game", "safe verdict vs eager", eager, lazy)
-    if bit_eager != eager:
-        note("bitset-core", "safe verdict vs dict core", eager, bit_eager)
-    if bit_lazy != lazy:
-        note("bitset-core", "lazy verdict vs dict core", lazy, bit_lazy)
-    if bit_possible != possible:
-        note("bitset-core", "possible verdict vs dict core",
-             possible, bit_possible)
     if exact:
         if eager != expected_safe:
             note("safe-solver", "safe verdict vs reference",
@@ -347,12 +329,11 @@ def run_config(
     if config.streamed:
         return _run_streamed(scenario, config, engine, invoker, outcome)
     try:
-        with using_core(config.core):
-            if config.observed:
-                with observing(Tracer(), MetricsRegistry()):
-                    result = engine.rewrite(scenario.document, invoker)
-            else:
+        if config.observed:
+            with observing(Tracer(), MetricsRegistry()):
                 result = engine.rewrite(scenario.document, invoker)
+        else:
+            result = engine.rewrite(scenario.document, invoker)
     except ReproError as error:
         outcome.error = "%s: %s" % (type(error).__name__, error)
         outcome.cache_hits, outcome.cache_misses = engine.cache_stats
@@ -387,10 +368,9 @@ def _run_streamed(
 
     chunks: List[str] = []
     try:
-        with using_core(config.core):
-            result = stream_rewrite(
-                engine, scenario.document.to_xml(), invoker, chunks.append
-            )
+        result = stream_rewrite(
+            engine, scenario.document.to_xml(), invoker, chunks.append
+        )
     except ReproError as error:
         outcome.error = "%s: %s" % (type(error).__name__, error)
         outcome.cache_hits, outcome.cache_misses = engine.cache_stats
@@ -551,12 +531,11 @@ def run_edit_config(
                     )
             receipts.append(incremental)
 
-    with using_core(config.core):
-        if config.observed:
-            with observing(Tracer(), MetricsRegistry()):
-                drive()
-        else:
+    if config.observed:
+        with observing(Tracer(), MetricsRegistry()):
             drive()
+    else:
+        drive()
     return found, receipts
 
 

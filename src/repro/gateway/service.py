@@ -25,7 +25,9 @@ Architecture notes:
   :mod:`repro.gateway.http`); CPU-bound enforcement never runs on it —
   requests are dispatched onto a thread pool
   (:meth:`Gateway._run_enforcement`), inside which the engine may fan
-  out further via the wave scheduler (``engine_workers``);
+  out further via the wave scheduler (``engine_workers``) — the reply
+  check (serialize, re-parse, validate against the receiver) runs in
+  the same pool job, so the loop only ever awaits;
 - every exchange passes the admission gate
   (:class:`~repro.gateway.admission.AdmissionController`): bounded
   queue, per-peer concurrency limits, and per-peer circuit breakers
@@ -90,6 +92,21 @@ from repro.services.resilience import (
 
 #: Enforcement modes a request may ask for.
 MODES = ("safe", "possible", "auto")
+
+
+def _reply_check(outcome: EnforcementOutcome, receiver: PeerRecord):
+    """``(wire, report)`` for a successful outcome, else None.
+
+    Serializes the enforced document and validates the re-parsed bytes
+    against the receiver's schema — what the peer will actually see.
+    Called inside the pool job that produced the outcome: on a large
+    document the re-parse and full validation would otherwise stall
+    the event loop for every other connection.
+    """
+    if not outcome.ok:
+        return None
+    wire = outcome.document.to_xml()
+    return wire, validate(Document.from_xml(wire), receiver.schema())
 
 
 @dataclass
@@ -529,7 +546,7 @@ class Gateway:
                 "gateway.exchange", sender=sender_name,
                 receiver=receiver_name, mode=mode,
             ) as span:
-                outcome, elapsed = await self._run_enforcement(
+                outcome, elapsed, reply = await self._run_enforcement(
                     sender, receiver, document_xml, mode, k, seed,
                     deadline, started,
                 )
@@ -558,10 +575,7 @@ class Gateway:
         if not outcome.ok:
             raise EnforcementFailedError(outcome.error or "enforcement failed")
 
-        wire = outcome.document.to_xml()
-        report = validate(
-            Document.from_xml(wire), receiver.schema()
-        )
+        wire, report = reply
         self.metrics.counter(
             "repro_gateway_exchanges_total",
             "Completed exchange enforcements",
@@ -591,18 +605,19 @@ class Gateway:
         seed: int,
         deadline: Optional[float],
         started: float,
-    ) -> Tuple[EnforcementOutcome, float]:
+    ) -> Tuple[EnforcementOutcome, float, Optional[tuple]]:
         """Dispatch one enforcement onto the thread pool and await it.
 
         The worker side parses the document, builds the enforcer (the
-        engine inside may fan out via the wave scheduler), and runs the
-        verify → rewrite → error pipeline; the event loop only ever
-        awaits the future, so hundreds of concurrent requests stay
-        responsive while at most ``pool_size`` enforcements run.
+        engine inside may fan out via the wave scheduler), runs the
+        verify → rewrite → error pipeline and the reply check
+        (:func:`_reply_check`); the event loop only ever awaits the
+        future, so hundreds of concurrent requests stay responsive
+        while at most ``pool_size`` enforcements run.
         """
         clock = self.clock
 
-        def job() -> Tuple[EnforcementOutcome, float]:
+        def job() -> Tuple[EnforcementOutcome, float, Optional[tuple]]:
             if deadline is not None and clock.now() - started > deadline:
                 # Spent its whole budget waiting in the queue.
                 raise DeadlineExceededError(
@@ -646,7 +661,9 @@ class Gateway:
                     "deadline of %.3fs expired after %.3fs (during "
                     "enforcement)" % (deadline, now - started)
                 )
-            return outcome, now - enforce_started
+            return outcome, now - enforce_started, _reply_check(
+                outcome, receiver
+            )
 
         return await self._loop.run_in_executor(self._pool, job)
 
@@ -927,14 +944,15 @@ class Gateway:
                 receiver=receiver_name, document_id=document_id,
             ) as span:
                 if document_xml is not None:
-                    outcome, session, event = await self._open_session(
+                    outcome, reply, session, event = await self._open_session(
                         sender, receiver, document_xml, mode, k, seed,
                         document_id,
                     )
                 else:
-                    outcome, session, event = await self._apply_session_edits(
-                        sender_name, receiver_name, edits_payload,
-                        document_id,
+                    outcome, reply, session, event = (
+                        await self._apply_session_edits(
+                            sender_name, receiver, edits_payload, document_id,
+                        )
                     )
                 span.set(
                     ok=outcome.ok, event=event,
@@ -957,8 +975,7 @@ class Gateway:
         if not outcome.ok:
             raise EnforcementFailedError(outcome.error or "enforcement failed")
 
-        wire = outcome.document.to_xml()
-        report = validate(Document.from_xml(wire), receiver.schema())
+        wire, report = reply
         self.metrics.counter(
             "repro_gateway_exchanges_total",
             "Completed exchange enforcements",
@@ -1031,9 +1048,12 @@ class Gateway:
                 raise BadRequestError(
                     "document not in wire normal form: %s" % exc
                 )
-            return session, session.enforce()
+            outcome = session.enforce()
+            return session, outcome, _reply_check(outcome, receiver)
 
-        session, outcome = await self._loop.run_in_executor(self._pool, job)
+        session, outcome, reply = await self._loop.run_in_executor(
+            self._pool, job
+        )
         entry = SessionEntry(
             document_id=document_id,
             sender=sender.name,
@@ -1050,12 +1070,12 @@ class Gateway:
                 "gateway.session-evicted",
                 document_id=evicted.document_id, peer=evicted.sender,
             )
-        return outcome, session, "opened"
+        return outcome, reply, session, "opened"
 
     async def _apply_session_edits(
         self,
         sender_name: str,
-        receiver_name: str,
+        receiver: PeerRecord,
         edits_payload,
         document_id: str,
     ):
@@ -1072,7 +1092,7 @@ class Gateway:
                 "no live session for document id %r (open one by sending "
                 "the full document)" % document_id
             )
-        if entry.sender != sender_name or entry.receiver != receiver_name:
+        if entry.sender != sender_name or entry.receiver != receiver.name:
             raise BadRequestError(
                 "session %r belongs to the exchange %s -> %s"
                 % (document_id, entry.sender, entry.receiver)
@@ -1087,12 +1107,13 @@ class Gateway:
             # on the entry lock; different documents run in parallel.
             with entry.lock:
                 try:
-                    return entry.session.apply(script)
+                    outcome = entry.session.apply(script)
                 except EditError as exc:
                     raise BadEditError(str(exc))
+                return outcome, _reply_check(outcome, receiver)
 
-        outcome = await self._loop.run_in_executor(self._pool, job)
-        return outcome, entry.session, "applied"
+        outcome, reply = await self._loop.run_in_executor(self._pool, job)
+        return outcome, reply, entry.session, "applied"
 
     def _count_incremental(self, event: str) -> None:
         self.metrics.counter(

@@ -9,7 +9,7 @@ Wall-clock numbers ride along for humans but are *excluded* from
 regression comparison (:func:`deterministic_view` strips them), which is
 what lets CI diff trajectories without trusting runner speed.
 
-Payloads follow the ``BENCH_*.json`` convention started by E23: one
+Payloads follow the ``BENCH_*.json`` convention: one
 flat, sorted JSON object per bench, written as ``BENCH_<name>.json``
 into ``--out`` / ``$REPRO_BENCH_DIR`` / the repo root.  On top of the
 descriptive fields every payload carries:
@@ -48,7 +48,7 @@ EXCLUDED_KEYS = ("machine", "speedup", "within_budget")
 
 
 # ---------------------------------------------------------------------------
-# Shared scenario family (the E4/E22/E23 game workload)
+# Shared scenario family (the E4/E22 game workload)
 # ---------------------------------------------------------------------------
 
 
@@ -65,7 +65,7 @@ def _outputs():
 
 
 def _scenarios(smoke: bool):
-    """(name, word, target, k) — E23's family, trimmed for runner use."""
+    """(name, word, target, k) — the E4 example plus two scaled variants."""
     from repro.regex.parser import parse_regex
 
     fig6 = ("fig6", ("title", "date", "Get_Temp", "TimeOut"),
@@ -112,47 +112,42 @@ def _solve_all(scenarios, outputs, cc) -> List[Tuple[bool, bool, bool]]:
 
 
 def bench_game_work(smoke: bool = False) -> dict:
-    """Product+game work counters and wall time on both automata cores.
+    """Product+game work counters and wall time of the three solvers.
 
-    The deterministic payload is the per-core ``repro_work_total``
-    snapshot — fixpoint pops, frontier sizes, product nodes — exactly
-    what an algorithmic regression moves even when the machine hides it
-    in the noise.  Verdict agreement across all three solvers and both
-    cores is asserted in-band.
+    The deterministic payload is the ``repro_work_total`` snapshot —
+    fixpoint pops, frontier sizes, product nodes — exactly what an
+    algorithmic regression moves even when the machine hides it in the
+    noise.  Verdict consistency (eager = lazy, safe ⇒ possible) is
+    asserted in-band.
     """
-    from repro.automata.core import BITSET, DICT, using_core
-
     outputs = _outputs()
     scenarios = _scenarios(smoke)
-    work: Dict[str, Dict[str, float]] = {}
-    seconds: Dict[str, float] = {}
-    verdicts: Dict[str, list] = {}
-    for label, core in (("dict", DICT), ("bitset", BITSET)):
-        registry = MetricsRegistry()
-        with using_core(core), observing(NULL_TRACER, registry):
-            cc = CompilationCache()
-            started = time.perf_counter()
-            verdicts[label] = _solve_all(scenarios, outputs, cc)
-            seconds[label] = time.perf_counter() - started
-        work[label] = work_snapshot(registry)
+    registry = MetricsRegistry()
+    with observing(NULL_TRACER, registry):
+        cc = CompilationCache()
+        started = time.perf_counter()
+        verdicts = _solve_all(scenarios, outputs, cc)
+        seconds = time.perf_counter() - started
     return {
         "benchmark": "game_work",
-        "experiment": "E23-counters",
-        "hot_path": "safe+lazy+possible product+game on both cores, fresh "
-                    "compile caches; work counters from repro_work_total",
+        "experiment": "E24",
+        "hot_path": "safe+lazy+possible product+game, fresh compile cache; "
+                    "work counters from repro_work_total",
         "scenarios": [name for name, _w, _t, _k in scenarios],
-        "verdicts_equal": verdicts["dict"] == verdicts["bitset"],
-        "dict_seconds": round(seconds["dict"], 6),
-        "bitset_seconds": round(seconds["bitset"], 6),
-        "work": work,
+        "verdicts_consistent": all(
+            safe == lazy and (possible or not safe)
+            for safe, lazy, possible in verdicts
+        ),
+        "solve_seconds": round(seconds, 6),
+        "work": {"default": work_snapshot(registry)},
     }
 
 
 def bench_obs_overhead(smoke: bool = False) -> dict:
-    """E16 re-verified: null-path obs overhead under both cores.
+    """E16 re-verified: null-path observability overhead.
 
     The deterministic part is the touch census — spans and events one
-    wide exchange emits per core (counted under ``SimulatedClock``, so
+    wide exchange emits (counted under ``SimulatedClock``, so
     byte-stable).  The wall-derived per-touch cost, estimated overhead
     and fraction are recorded for humans and stripped by the differ.
     """
@@ -166,7 +161,6 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
         el,
         parse_regex,
     )
-    from repro.automata.core import BITSET, DICT, using_core
     from repro.obs.metrics import NULL_METRICS
     from repro.obs.trace import Tracer
     from repro.services.resilience import SimulatedClock
@@ -195,55 +189,47 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
         assert receipt.accepted
         return receipt
 
-    payload: dict = {
+    # Wall time of the exchange with the default null sinks.
+    with compiling(CompilationCache()):
+        run_exchange()  # warm (compiles paid once)
+    with compiling(CompilationCache()):
+        run_exchange()
+        started = time.perf_counter()
+        run_exchange()
+        exchange_seconds = time.perf_counter() - started
+    # Deterministic touch census + work counters, traced.
+    tracer = Tracer(clock=SimulatedClock(), capacity=100_000)
+    registry = MetricsRegistry()
+    with compiling(CompilationCache()), observing(tracer, registry):
+        run_exchange()
+    spans = tracer.finished()
+    events = sum(len(span.events) for span in spans)
+    # Per-touch null cost.
+    iterations = 20_000 if smoke else 200_000
+    started = time.perf_counter()
+    for _ in range(iterations):
+        with NULL_TRACER.span("node", word="w") as span:
+            span.set(mode="safe")
+        NULL_TRACER.event("attempt", n=1)
+        NULL_METRICS.counter("c", "h").inc(function="f")
+    per_touch = (time.perf_counter() - started) / iterations
+    fraction = (len(spans) + events) * per_touch / exchange_seconds
+    max_fraction = 0.05
+    return {
         "benchmark": "obs_overhead",
         "experiment": "E16",
         "hot_path": "wide exchange (width %d) with null sinks; touch census "
                     "traced under SimulatedClock" % width,
-        "max_overhead_fraction": 0.05,
+        "max_overhead_fraction": max_fraction,
         "width": width,
+        "spans_per_exchange": len(spans),
+        "events_per_exchange": events,
+        "exchange_seconds": round(exchange_seconds, 6),
+        "null_touch_seconds": round(per_touch, 9),
+        "overhead_fraction": round(fraction, 6),
+        "within_budget": fraction < max_fraction,
+        "work": {"default": work_snapshot(registry)},
     }
-    work: Dict[str, Dict[str, float]] = {}
-    within = True
-    for label, core in (("dict", DICT), ("bitset", BITSET)):
-        with using_core(core):
-            # Wall time of the exchange with the default null sinks.
-            with compiling(CompilationCache()):
-                run_exchange()  # warm (compiles paid once)
-            with compiling(CompilationCache()):
-                run_exchange()
-                started = time.perf_counter()
-                run_exchange()
-                exchange_seconds = time.perf_counter() - started
-            # Deterministic touch census + work counters, traced.
-            tracer = Tracer(clock=SimulatedClock(), capacity=100_000)
-            registry = MetricsRegistry()
-            with compiling(CompilationCache()), observing(tracer, registry):
-                run_exchange()
-            spans = tracer.finished()
-            events = sum(len(span.events) for span in spans)
-            payload["%s_spans_per_exchange" % label] = len(spans)
-            payload["%s_events_per_exchange" % label] = events
-            work[label] = work_snapshot(registry)
-        # Per-touch null cost (core-independent; measured once per core
-        # anyway so each fraction is self-consistent).
-        iterations = 20_000 if smoke else 200_000
-        started = time.perf_counter()
-        for _ in range(iterations):
-            with NULL_TRACER.span("node", word="w") as span:
-                span.set(mode="safe")
-            NULL_TRACER.event("attempt", n=1)
-            NULL_METRICS.counter("c", "h").inc(function="f")
-        per_touch = (time.perf_counter() - started) / iterations
-        touches = len(spans) + events
-        fraction = touches * per_touch / exchange_seconds
-        payload["%s_exchange_seconds" % label] = round(exchange_seconds, 6)
-        payload["%s_null_touch_seconds" % label] = round(per_touch, 9)
-        payload["%s_overhead_fraction" % label] = round(fraction, 6)
-        within = within and fraction < payload["max_overhead_fraction"]
-    payload["within_budget"] = within
-    payload["work"] = work
-    return payload
 
 
 def bench_quantile_sketch(smoke: bool = False) -> dict:
@@ -463,16 +449,20 @@ def diff_payloads(baseline: dict, current: dict,
     Both payloads are reduced to their deterministic views and
     flattened; a regression is a numeric value that **grew** beyond
     ``threshold`` (work counters measure cost: more pops, more builds,
-    bigger frontiers = worse), or a True boolean that turned False
-    (verdict agreement, budget compliance).  Improvements never flag.
+    bigger frontiers = worse), a True boolean that turned False
+    (verdict agreement, budget compliance), or a baseline key missing
+    from *current* — a counter that stops being reported can no longer
+    be gated, so it must be re-recorded on purpose, never dropped
+    silently.  Improvements and new keys never flag.
     """
     before = _flatten(deterministic_view(baseline))
     after = _flatten(deterministic_view(current))
     regressions: List[str] = []
     for key, old in sorted(before.items()):
-        new = after.get(key)
-        if new is None:
+        if key not in after:
+            regressions.append("%s: %s -> missing" % (key, old))
             continue
+        new = after[key]
         if isinstance(old, bool) or isinstance(new, bool):
             if old is True and new is False:
                 regressions.append("%s: True -> False" % key)

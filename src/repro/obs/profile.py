@@ -53,7 +53,7 @@ _EXACT_PHASES = {
 
 #: compile.<kind> span kinds that are determinization work, not parsing.
 _DETERMINIZE_KINDS = {
-    "dfa", "comp", "bitdfa", "bitcomp", "bitdfaview", "bitcompview", "subset",
+    "bitdfa", "bitcomp", "bitdfaview", "bitcompview", "subset",
 }
 
 

@@ -1,11 +1,12 @@
-"""Vectorized marking game and reachability on the bitset core.
+"""The marking game and possible-rewriting reachability, on bitmasks.
 
-The per-node solvers of :mod:`repro.rewriting.safe` / ``lazy`` /
-``possible`` walk the product ``A_w^k × Ā`` one ``(q, p)`` pair at a
-time.  Here the complement side is a :class:`repro.automata.bitset.BitDFA`
-and the product is never materialized as nodes at all: for each
-expansion state ``q`` we keep one integer mask over complement states,
-and the whole marking fixpoint becomes mask arithmetic —
+This is the one solver behind :func:`repro.rewriting.safe.analyze_safe`,
+:func:`repro.rewriting.lazy.analyze_safe_lazy` and
+:func:`repro.rewriting.possible.analyze_possible`.  The complement side
+is a :class:`repro.automata.bitset.BitDFA` and the product
+``A_w^k × Ā`` is never materialized as nodes at all: for each expansion
+state ``q`` we keep one integer mask over complement states, and the
+whole marking fixpoint becomes mask arithmetic —
 
 - a *return* edge ``q -> t`` (adversary ends an output) contributes
   ``M[t]`` to ``M[q]`` unchanged (epsilon: the complement stays put);
@@ -18,17 +19,18 @@ and the whole marking fixpoint becomes mask arithmetic —
 Seeds are ``accepting(Ā)`` at the expansion's final state; the lazy
 variant additionally seeds every accepting *sink* of ``Ā`` (Figure 12's
 pruning) and absorbs forward exploration there.  The fixpoint is the
-same least fixpoint the per-node solvers compute, so verdicts,
-strategies and rewritten documents are identical — the conformance
-fuzzer's ``bitset-core`` configuration checks this byte-for-byte.
+least fixpoint of Figure 3's marking, so verdicts agree with the
+reference interpreter (:mod:`repro.conformance.reference`), which the
+conformance fuzzer checks on every seed.
 
 The solved analyses are returned as the ordinary
 :class:`~repro.rewriting.safe.SafeAnalysis` /
 :class:`~repro.rewriting.possible.PossibleAnalysis` objects: ``marked``
 / ``explored`` / ``alive`` become :class:`PNodeBitSet` views (set-like,
 lazily enumerated), and the complement / target automata are dict-DFA
-views of the bitset artifacts — numbering-identical by the canonical
-BFS construction, so every executor and renderer works unchanged.
+views of the bitset artifacts — numbering-identical to the dict
+pipeline by the canonical BFS construction, so every executor and
+renderer reads them unchanged.
 """
 
 from __future__ import annotations
@@ -90,68 +92,89 @@ class _ExpansionView:
 
     Built once per (expansion, alphabet) and cached on the expansion
     object — expansions are immutable and shared via the compile cache,
-    so the view is shared exactly as widely.
+    so the view is shared exactly as widely, and lives as long.  Each
+    per-state row is a tuple, and every empty row is the one shared
+    ``()``: most states have no edge of most kinds, so lists per state
+    and kind would dominate the view's size.
     """
 
     __slots__ = ("n_states", "plain_out", "fork_out", "ret_out", "eps_out",
                  "sym_out", "eps_in", "sym_in", "reads")
 
     def __init__(self, expansion: Expansion, alphabet: Alphabet):
-        symbols = tuple(alphabet)
-        sym_id = {symbol: index for index, symbol in enumerate(symbols)}
+        sym_id = {symbol: index for index, symbol in enumerate(alphabet)}
         n = expansion.n_states
         self.n_states = n
-        # Game-alternative indexing (invoke edges ride along their fork).
-        self.plain_out: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in range(n)
-        ]
-        self.fork_out: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-        self.ret_out: List[List[int]] = [[] for _ in range(n)]
-        # Plain-graph indexing for possible-rewriting reachability,
-        # plus the reverse adjacency its backward pass propagates along.
-        self.eps_out: List[List[int]] = [[] for _ in range(n)]
-        self.sym_out: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in range(n)
-        ]
-        self.eps_in: List[List[int]] = [[] for _ in range(n)]
-        self.sym_in: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in range(n)
-        ]
+        ids_of: Dict[object, Tuple[int, ...]] = {}
+        # Game alternatives (invoke edges ride along their fork), and the
+        # plain graph possible-rewriting reachability walks.
+        plain, fork, ret, eps, sym = ([None] * n for _ in range(5))
         for edge in expansion.edges:
+            source = edge.source
             if edge.kind == "invoke":
-                self.eps_out[edge.source].append(edge.target)
+                _append(eps, source, edge.target)
                 continue
             if edge.kind == "return":
-                self.ret_out[edge.source].append(edge.target)
-                self.eps_out[edge.source].append(edge.target)
+                _append(ret, source, edge.target)
+                _append(eps, source, edge.target)
                 continue
-            ids = tuple(
-                sym_id[symbol]
-                for symbol in sorted(concretize_class(edge.guard, alphabet))
-            )
-            self.sym_out[edge.source].append((edge.target, ids))
+            ids = ids_of.get(edge.guard)
+            if ids is None:
+                ids = ids_of[edge.guard] = tuple(
+                    sym_id[symbol]
+                    for symbol in sorted(concretize_class(edge.guard, alphabet))
+                )
+            entry = (edge.target, ids)
+            _append(sym, source, entry)
             if edge.invoke_edge is not None:
                 invoke = expansion.edge(edge.invoke_edge)
                 # Fork guards are function names — always in the alphabet.
-                self.fork_out[edge.source].append(
-                    (edge.target, ids[0], invoke.target)
-                )
+                _append(fork, source, (edge.target, ids[0], invoke.target))
             else:
-                self.plain_out[edge.source].append((edge.target, ids))
-        # Backward-fixpoint dependencies: reads[t] = sources reading M[t].
-        self.reads: List[List[int]] = [[] for _ in range(n)]
+                _append(plain, source, entry)
+        self.plain_out = _freeze(plain)
+        self.fork_out = _freeze(fork)
+        self.ret_out = _freeze(ret)
+        self.eps_out = _freeze(eps)
+        self.sym_out = _freeze(sym)
+        # Reverse adjacency: the possible pass propagates backward along
+        # sym_in/eps_in; reads[t] lists the sources whose mask reads M[t].
+        sym_in, eps_in, reads = ([None] * n for _ in range(3))
         for q in range(n):
             for target, ids in self.sym_out[q]:
-                self.sym_in[target].append((q, ids))
+                _append(sym_in, target, (q, ids))
             for target in self.eps_out[q]:
-                self.eps_in[target].append(q)
+                _append(eps_in, target, q)
             for target, _ids in self.plain_out[q]:
-                self.reads[target].append(q)
+                _append(reads, target, q)
             for keep_target, _a, invoke_target in self.fork_out[q]:
-                self.reads[keep_target].append(q)
-                self.reads[invoke_target].append(q)
+                _append(reads, keep_target, q)
+                _append(reads, invoke_target, q)
             for target in self.ret_out[q]:
-                self.reads[target].append(q)
+                _append(reads, target, q)
+        self.sym_in = _freeze(sym_in)
+        self.eps_in = _freeze(eps_in)
+        self.reads = _freeze(reads)
+
+
+def _append(rows: List[Optional[list]], q: int, item) -> None:
+    """Append to row ``q``, allocating its list on first use."""
+    row = rows[q]
+    if row is None:
+        rows[q] = [item]
+    else:
+        row.append(item)
+
+
+def _freeze(rows: List[Optional[list]]) -> Tuple[tuple, ...]:
+    """The rows as tuples, every empty one the shared ``()``.
+
+    Consumes ``rows``: the build lists are freed as soon as their
+    tuples exist, which keeps the build's peak near the view's size.
+    """
+    frozen = tuple(tuple(row) if row else () for row in rows)
+    rows.clear()
+    return frozen
 
 
 def expansion_view(expansion: Expansion, alphabet: Alphabet) -> _ExpansionView:
@@ -324,48 +347,42 @@ def _reach_game(
     return reach
 
 
-def analyze_safe_bitset(
+def solve_safe(
     word: Sequence[str],
     output_types: Dict[str, Regex],
     target: Regex,
     k: int = 1,
     invocable: Optional[Callable[[str], bool]] = None,
     lazy: bool = False,
-    early_exit: bool = True,
     compile_cache=None,
 ):
-    """Solve the safe-rewriting game on the bitset core.
+    """Solve the safe-rewriting game; returns a ``SafeAnalysis``.
 
-    Drop-in for :func:`repro.rewriting.safe.analyze_safe` (``lazy=False``)
-    and :func:`repro.rewriting.lazy.analyze_safe_lazy` (``lazy=True``) —
-    same answers, same strategy, same stats inequalities (the lazy pass
-    explores no more than the eager one; sink pruning shrinks it
-    strictly whenever a sink is reachable).  ``early_exit`` is accepted
-    for signature compatibility; the vectorized pass always runs to the
-    fixpoint, whose cost the early exit was approximating.
+    ``lazy=False`` is Figure 3's eager game, ``lazy=True`` adds Figure
+    12's sink pruning — same answers, same strategy; the lazy pass
+    explores no more than the eager one, and strictly fewer nodes
+    whenever a sink is reachable.  The marking always runs to the
+    fixpoint: on masks that is cheaper than stopping early.
     """
     from repro.rewriting.safe import GameStats, SafeAnalysis, problem_alphabet
 
-    del early_exit  # the fixpoint is the cheap path here
     tracer = obs.tracer()
     cc = compile_cache if compile_cache is not None else compile_context.cache()
     algorithm = "safe-lazy" if lazy else "safe-eager"
-    with tracer.span(
-        "product", algorithm=algorithm, k=k, core="bitset"
-    ) as span:
+    with tracer.span("product", algorithm=algorithm, k=k) as span:
         alphabet = problem_alphabet(word, output_types, target)
         expansion = build_expansion(
             word, output_types, k, invocable, compile_cache=cc
         )
         comp = cc.bit_complement(target, alphabet)
-        comp_view = cc.complement_view(target, alphabet)
+        comp_view = cc.complement(target, alphabet)
         view = expansion_view(expansion, alphabet)
         span.set(
             expansion_states=expansion.n_states,
             complement_states=comp.n,
         )
 
-    with tracer.span("game", algorithm=algorithm, core="bitset") as span:
+    with tracer.span("game", algorithm=algorithm) as span:
         work: Dict[str, int] = {}
         marked = _solve_marking(view, comp, expansion.final, lazy, work)
         absorb = (comp.sink_mask() & comp.accepting) if lazy else 0
@@ -395,8 +412,7 @@ def analyze_safe_bitset(
         )
         work["product_nodes"] = explored
         work["marked_nodes"] = marked_count
-        record_work(obs.metrics(), "game", work,
-                    core="bitset", algorithm=algorithm)
+        record_work(obs.metrics(), "game", work, algorithm=algorithm)
 
     return SafeAnalysis(
         word=tuple(word),
@@ -419,7 +435,7 @@ def analyze_safe_bitset(
     )
 
 
-def analyze_possible_bitset(
+def solve_possible(
     word: Sequence[str],
     output_types: Dict[str, Regex],
     target: Regex,
@@ -427,24 +443,23 @@ def analyze_possible_bitset(
     invocable: Optional[Callable[[str], bool]] = None,
     compile_cache=None,
 ):
-    """Possible rewriting (Figure 9) on the bitset core.
+    """Possible rewriting (Figure 9); returns a ``PossibleAnalysis``.
 
     Forward reachability then backward co-reachability, both as mask
-    fixpoints over ``A_w^k × A``.  Drop-in for
-    :func:`repro.rewriting.possible.analyze_possible`.
+    fixpoints over ``A_w^k × A``.
     """
     from repro.rewriting.possible import PossibleAnalysis
     from repro.rewriting.safe import GameStats, problem_alphabet
 
     tracer = obs.tracer()
     cc = compile_cache if compile_cache is not None else compile_context.cache()
-    with tracer.span("product", algorithm="possible", k=k, core="bitset") as span:
+    with tracer.span("product", algorithm="possible", k=k) as span:
         alphabet = problem_alphabet(word, output_types, target)
         expansion = build_expansion(
             word, output_types, k, invocable, compile_cache=cc
         )
         target_bit = cc.bit_target_dfa(target, alphabet)
-        target_view = cc.target_dfa_view(target, alphabet)
+        target_view = cc.target_dfa(target, alphabet)
         view = expansion_view(expansion, alphabet)
         span.set(
             expansion_states=expansion.n_states,
@@ -454,7 +469,7 @@ def analyze_possible_bitset(
     n = view.n_states
     sym_out, eps_out = view.sym_out, view.eps_out
 
-    with tracer.span("game", algorithm="possible", core="bitset") as span:
+    with tracer.span("game", algorithm="possible") as span:
         work: Dict[str, int] = {"reach_pops": 0, "frontier_bits": 0,
                                 "back_pops": 0, "back_bits": 0}
         # Forward reachability (every fork option is a plain edge here) —
@@ -555,8 +570,7 @@ def analyze_possible_bitset(
         )
         work["product_nodes"] = product_nodes
         work["alive_nodes"] = alive_count
-        record_work(obs.metrics(), "game", work,
-                    core="bitset", algorithm="possible")
+        record_work(obs.metrics(), "game", work, algorithm="possible")
 
     return PossibleAnalysis(
         word=tuple(word),

@@ -31,9 +31,9 @@ from repro.compile import context as compile_context
 from repro.regex.ast import Regex
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
-    """One transition of ``A_w^k``."""
+    """One transition of ``A_w^k`` (slotted: expansions hold many)."""
 
     eid: int
     source: int

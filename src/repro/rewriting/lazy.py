@@ -18,26 +18,19 @@ The variant has the same worst-case complexity but explores strictly
 fewer product nodes in practice — benchmark E7 counts them.  Answers are
 identical to the eager algorithm: marking is a least fixpoint and both
 prunings only skip regions that cannot change it.
+
+On bitmasks the marking always runs to that fixpoint (it costs less
+than deciding when to stop early), so the pruning that remains visible
+is the sink one: sinks seed the marking and absorb forward exploration.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.compile import context as compile_context
-from repro.obs import context as obs
-from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
-from repro.rewriting.expansion import build_expansion
-from repro.rewriting.safe import (
-    Alternative,
-    GameStats,
-    PNode,
-    SafeAnalysis,
-    alternatives,
-    problem_alphabet,
-)
+from repro.rewriting.bitgame import solve_safe
+from repro.rewriting.safe import SafeAnalysis
 
 
 def analyze_safe_lazy(
@@ -46,141 +39,19 @@ def analyze_safe_lazy(
     target: Regex,
     k: int = 1,
     invocable: Optional[Callable[[str], bool]] = None,
-    early_exit: bool = True,
     compile_cache=None,
 ) -> SafeAnalysis:
-    """Solve the safe-rewriting game with on-demand construction.
+    """Solve the safe-rewriting game with sink pruning.
 
     Same signature and same answers as
     :func:`repro.rewriting.safe.analyze_safe`; ``stats.product_explored``
     records how many product nodes were actually expanded, which is the
-    quantity Figure 12's pruning reduces.  With ``early_exit`` the search
-    stops as soon as the initial state is marked (the answer is already
-    "unsafe").
-
-    With ``REPRO_AUTOMATA_CORE=bitset`` the same prunings run as mask
-    arithmetic in :mod:`repro.rewriting.bitgame` (sink absorption plus
-    sink-seeded marking) — identical answers and strategy.
+    quantity Figure 12's pruning reduces.  The prunings run as mask
+    arithmetic in :func:`repro.rewriting.bitgame.solve_safe`: accepting
+    sinks of the complement seed the marking at every expansion state,
+    and forward exploration absorbs them without expanding them.
     """
-    from repro.automata import core as automata_core
-
-    if automata_core.use_bitset():
-        from repro.rewriting.bitgame import analyze_safe_bitset
-
-        return analyze_safe_bitset(
-            word, output_types, target, k=k, invocable=invocable,
-            lazy=True, early_exit=early_exit, compile_cache=compile_cache,
-        )
-    tracer = obs.tracer()
-    cc = compile_cache if compile_cache is not None else compile_context.cache()
-    with tracer.span("product", algorithm="safe-lazy", k=k) as span:
-        alphabet = problem_alphabet(word, output_types, target)
-        expansion = build_expansion(
-            word, output_types, k, invocable, compile_cache=cc
-        )
-        comp = cc.complement(target, alphabet)
-        span.set(
-            expansion_states=expansion.n_states,
-            complement_states=comp.n_states,
-        )
-
-    analysis = SafeAnalysis(
-        word=tuple(word),
-        k=k,
-        target=target,
-        expansion=expansion,
-        comp=comp,
-        alphabet=alphabet,
-        marked=set(),
-        explored=set(),
-        exists=False,
-        stats=GameStats(
-            expansion_states=expansion.n_states,
-            expansion_edges=len(expansion.edges),
-            complement_states=comp.n_states,
-        ),
+    return solve_safe(
+        word, output_types, target, k=k, invocable=invocable,
+        lazy=True, compile_cache=compile_cache,
     )
-
-    accepting_sinks = comp.sink_states() & comp.accepting
-    marked = analysis.marked
-    reverse: Dict[PNode, List[Tuple[PNode, int]]] = {}
-    remaining: Dict[Tuple[PNode, int], int] = {}
-    expanded: Set[PNode] = set()
-
-    work = {"frontier_pops": 0, "propagate_pops": 0}
-
-    def propagate(seed: PNode) -> None:
-        """Backward propagation of a newly marked node."""
-        queue = [seed]
-        while queue:
-            bad = queue.pop()
-            work["propagate_pops"] += 1
-            for node, index in reverse.get(bad, ()):
-                if node in marked:
-                    continue
-                remaining[(node, index)] -= 1
-                if remaining[(node, index)] == 0:
-                    marked.add(node)
-                    queue.append(node)
-
-    initial = analysis.initial
-    frontier = deque([initial])
-    analysis.explored.add(initial)
-    game_span = tracer.start("game", algorithm="safe-lazy")
-    while frontier:
-        if early_exit and initial in marked:
-            break
-        node = frontier.popleft()
-        work["frontier_pops"] += 1
-        if node in marked or node in expanded:
-            continue  # marked-node pruning: successors are irrelevant
-        q, p = node
-
-        if p in accepting_sinks:
-            # Sink-node pruning: the complement can never be escaped, and
-            # every play ends at the word's final state, which is then
-            # accepting — the adversary has already won here.
-            marked.add(node)
-            propagate(node)
-            continue
-        if q == expansion.final and p in comp.accepting:
-            marked.add(node)
-            propagate(node)
-            continue
-
-        expanded.add(node)
-        alts = alternatives(expansion, analysis, node)
-        became_bad = False
-        for index, alt in enumerate(alts):
-            options = set(alt.options)
-            live = {succ for succ in options if succ not in marked}
-            remaining[(node, index)] = len(live)
-            for succ in options:
-                reverse.setdefault(succ, []).append((node, index))
-                if succ not in analysis.explored:
-                    analysis.explored.add(succ)
-                    frontier.append(succ)
-            if not live:
-                became_bad = True
-        if became_bad and node not in marked:
-            marked.add(node)
-            propagate(node)
-
-    analysis.exists = initial not in marked
-    analysis.stats.product_nodes = len(analysis.explored)
-    analysis.stats.product_explored = len(expanded)
-    analysis.stats.marked_nodes = len(marked)
-    game_span.set(
-        product_nodes=len(analysis.explored),
-        explored=len(expanded),
-        marked=len(marked),
-        exists=analysis.exists,
-        **work,
-    )
-    tracer.finish(game_span)
-    work["product_nodes"] = len(analysis.explored)
-    work["expanded_nodes"] = len(expanded)
-    work["marked_nodes"] = len(marked)
-    record_work(obs.metrics(), "game", work,
-                core="dict", algorithm="safe-lazy")
-    return analysis

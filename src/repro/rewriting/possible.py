@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.dfa import DFA
 from repro.automata.symbols import Alphabet, class_matches, concretize_class
-from repro.compile import context as compile_context
 from repro.doc.nodes import FunctionCall, Node, symbol_of
 from repro.errors import (
     FunctionUnavailableError,
@@ -27,12 +26,11 @@ from repro.errors import (
     RewriteExecutionError,
     ServiceFault,
 )
-from repro.obs import context as obs
-from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
-from repro.rewriting.expansion import Edge, Expansion, build_expansion
+from repro.rewriting.bitgame import solve_possible
+from repro.rewriting.expansion import Edge, Expansion
 from repro.rewriting.plan import InvocationLog, timed_invoke
-from repro.rewriting.safe import GameStats, Invoker, PNode, problem_alphabet
+from repro.rewriting.safe import GameStats, Invoker, PNode
 
 
 @dataclass
@@ -118,98 +116,15 @@ def analyze_possible(
     """Solve possible rewriting: co-reachability on ``A_w^k × A``.
 
     Polynomial in the schemas (no complementation), as Section 5 notes.
-    The target DFA comes minimized from the compilation cache; the
-    reachability answer and the witness depend only on its language, so
-    results match the uncached pipeline exactly.
-
-    With ``REPRO_AUTOMATA_CORE=bitset`` both reachability passes run as
-    mask fixpoints in :mod:`repro.rewriting.bitgame`.
+    Both reachability passes run as mask fixpoints in
+    :func:`repro.rewriting.bitgame.solve_possible`.  The target DFA
+    comes minimized from the compilation cache; the reachability answer
+    and the witness depend only on its language.
     """
-    from repro.automata import core as automata_core
-
-    if automata_core.use_bitset():
-        from repro.rewriting.bitgame import analyze_possible_bitset
-
-        return analyze_possible_bitset(
-            word, output_types, target, k=k, invocable=invocable,
-            compile_cache=compile_cache,
-        )
-    tracer = obs.tracer()
-    cc = compile_cache if compile_cache is not None else compile_context.cache()
-    with tracer.span("product", algorithm="possible", k=k) as span:
-        alphabet = problem_alphabet(word, output_types, target)
-        expansion = build_expansion(
-            word, output_types, k, invocable, compile_cache=cc
-        )
-        target_dfa = cc.target_dfa(target, alphabet)
-        span.set(
-            expansion_states=expansion.n_states,
-            target_states=target_dfa.n_states,
-        )
-
-    analysis = PossibleAnalysis(
-        word=tuple(word),
-        k=k,
-        target=target,
-        expansion=expansion,
-        target_dfa=target_dfa,
-        alphabet=alphabet,
-        alive=set(),
-        exists=False,
-        stats=GameStats(
-            expansion_states=expansion.n_states,
-            expansion_edges=len(expansion.edges),
-            complement_states=target_dfa.n_states,
-        ),
+    return solve_possible(
+        word, output_types, target, k=k, invocable=invocable,
+        compile_cache=compile_cache,
     )
-
-    with tracer.span("game", algorithm="possible") as span:
-        # Forward reachability.
-        forward_pops = 0
-        reachable: Set[PNode] = {analysis.initial}
-        edges_in: Dict[PNode, List[PNode]] = {}
-        worklist = [analysis.initial]
-        while worklist:
-            node = worklist.pop()
-            forward_pops += 1
-            for _edge, _symbol, succ in _successors(analysis, node):
-                edges_in.setdefault(succ, []).append(node)
-                if succ not in reachable:
-                    reachable.add(succ)
-                    worklist.append(succ)
-
-        # Backward co-reachability from accepting nodes (step 5).
-        backward_pops = 0
-        alive = {node for node in reachable if analysis.is_accepting(node)}
-        worklist = list(alive)
-        while worklist:
-            node = worklist.pop()
-            backward_pops += 1
-            for previous in edges_in.get(node, ()):
-                if previous not in alive:
-                    alive.add(previous)
-                    worklist.append(previous)
-
-        analysis.alive = alive
-        analysis.exists = analysis.initial in alive
-        span.set(
-            product_nodes=len(reachable),
-            alive=len(alive),
-            exists=analysis.exists,
-            forward_pops=forward_pops,
-            backward_pops=backward_pops,
-        )
-        record_work(
-            obs.metrics(), "game",
-            {"forward_pops": forward_pops, "backward_pops": backward_pops,
-             "product_nodes": len(reachable), "alive_nodes": len(alive)},
-            core="dict", algorithm="possible",
-        )
-
-    analysis.stats.product_nodes = len(reachable)
-    analysis.stats.product_explored = len(reachable)
-    analysis.stats.marked_nodes = len(alive)
-    return analysis
 
 
 # ---------------------------------------------------------------------------

@@ -21,23 +21,25 @@ adversarial alternative has *all* of our options marked.  A safe
 rewriting exists iff the initial state is unmarked (step 18); the
 unmarked region is then a winning strategy that
 :func:`execute_safe` follows while performing real calls (steps 19-23).
+
+The fixpoint itself runs as mask arithmetic in
+:mod:`repro.rewriting.bitgame`; this module holds the solved analysis,
+the per-node strategy helpers and the executor that read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.dfa import DFA, complement, determinize
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.symbols import Alphabet, class_matches, concretize_class, regex_symbols
-from repro.compile import context as compile_context
 from repro.doc.nodes import FunctionCall, Node, symbol_of
 from repro.errors import NoSafeRewritingError, RewriteExecutionError, ServiceFault
-from repro.obs import context as obs
-from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
-from repro.rewriting.expansion import Edge, Expansion, build_expansion
+from repro.rewriting.bitgame import solve_safe
+from repro.rewriting.expansion import Edge, Expansion
 from repro.rewriting.plan import (
     DEPENDS,
     INVOKE,
@@ -260,142 +262,21 @@ def analyze_safe(
 ) -> SafeAnalysis:
     """Solve the safe-rewriting game eagerly (the Figure 3 algorithm).
 
-    Builds the full reachable product, then computes the marking as a
-    backward least fixpoint with per-alternative counters.  See
-    :func:`repro.rewriting.lazy.analyze_safe_lazy` for the pruned variant
-    the paper's implementation uses (Section 7).
+    The marking is the least fixpoint over the whole reachable product,
+    computed as mask arithmetic by :func:`repro.rewriting.bitgame.solve_safe`.
+    See :func:`repro.rewriting.lazy.analyze_safe_lazy` for the pruned
+    variant the paper's implementation uses (Section 7).
 
     The expansion and the minimized complement come from the compilation
     cache (the ambient one unless ``compile_cache`` is given), so equal
     targets and output types compile once per process.  Minimization
     preserves the complement's language, which is all the marking game
-    observes — verdicts, decisions and outputs are bit-identical to the
-    uncached pipeline; only ``stats.complement_states`` shrinks.
-
-    With ``REPRO_AUTOMATA_CORE=bitset`` the game is solved by the
-    vectorized mask fixpoint of :mod:`repro.rewriting.bitgame` —
-    identical answers and strategy on flat integer-indexed automata.
+    observes; only ``stats.complement_states`` shrinks.
     """
-    from repro.automata import core as automata_core
-
-    if automata_core.use_bitset():
-        from repro.rewriting.bitgame import analyze_safe_bitset
-
-        return analyze_safe_bitset(
-            word, output_types, target, k=k, invocable=invocable,
-            lazy=False, compile_cache=compile_cache,
-        )
-    tracer = obs.tracer()
-    cc = compile_cache if compile_cache is not None else compile_context.cache()
-    with tracer.span("product", algorithm="safe-eager", k=k) as span:
-        alphabet = problem_alphabet(word, output_types, target)
-        expansion = build_expansion(
-            word, output_types, k, invocable, compile_cache=cc
-        )
-        comp = cc.complement(target, alphabet)
-
-        analysis = SafeAnalysis(
-            word=tuple(word),
-            k=k,
-            target=target,
-            expansion=expansion,
-            comp=comp,
-            alphabet=alphabet,
-            marked=set(),
-            explored=set(),
-            exists=False,
-            stats=GameStats(
-                expansion_states=expansion.n_states,
-                expansion_edges=len(expansion.edges),
-                complement_states=comp.n_states,
-            ),
-        )
-
-        # Forward exploration of the reachable product (steps 11-14).
-        initial = analysis.initial
-        node_alts: Dict[PNode, List[Alternative]] = {}
-        explore_pops = 0
-        worklist = [initial]
-        analysis.explored.add(initial)
-        while worklist:
-            node = worklist.pop()
-            explore_pops += 1
-            alts = alternatives(expansion, analysis, node)
-            node_alts[node] = alts
-            for alt in alts:
-                for succ in alt.options:
-                    if succ not in analysis.explored:
-                        analysis.explored.add(succ)
-                        worklist.append(succ)
-
-        for node in analysis.explored:
-            node_alts.setdefault(node, [])
-        span.set(
-            expansion_states=expansion.n_states,
-            complement_states=comp.n_states,
-            product_nodes=len(analysis.explored),
-        )
-
-    # Backward marking fixpoint (steps 15-17).
-    with tracer.span("game", algorithm="safe-eager") as span:
-        mark_pops = _mark(analysis, node_alts)
-        analysis.exists = initial not in analysis.marked
-        span.set(marked=len(analysis.marked), exists=analysis.exists,
-                 explore_pops=explore_pops, mark_pops=mark_pops)
-        record_work(
-            obs.metrics(), "game",
-            {"explore_pops": explore_pops, "mark_pops": mark_pops,
-             "product_nodes": len(analysis.explored),
-             "marked_nodes": len(analysis.marked)},
-            core="dict", algorithm="safe-eager",
-        )
-
-    analysis.stats.product_nodes = len(analysis.explored)
-    analysis.stats.product_explored = len(analysis.explored)
-    analysis.stats.marked_nodes = len(analysis.marked)
-    return analysis
-
-
-def _mark(analysis: SafeAnalysis, node_alts: Dict[PNode, List[Alternative]]) -> int:
-    """Least-fixpoint marking with per-alternative option counters.
-
-    Returns the number of worklist pops — the deterministic work figure
-    the trajectory benchmarks track.
-    """
-    expansion = analysis.expansion
-    comp = analysis.comp
-
-    # Reverse index: successor -> [(node, alternative index)].
-    reverse: Dict[PNode, List[Tuple[PNode, int]]] = {}
-    remaining: Dict[Tuple[PNode, int], int] = {}
-    for node, alts in node_alts.items():
-        for index, alt in enumerate(alts):
-            remaining[(node, index)] = len(set(alt.options))
-            for succ in set(alt.options):
-                reverse.setdefault(succ, []).append((node, index))
-
-    # Seeds (step 16): word fully produced but accepted by the complement.
-    queue: List[PNode] = []
-    for node in node_alts:
-        q, p = node
-        if q == expansion.final and p in comp.accepting:
-            analysis.marked.add(node)
-            queue.append(node)
-
-    # Propagation (step 17): a node is bad once some alternative has all
-    # of its options bad.
-    pops = 0
-    while queue:
-        bad = queue.pop()
-        pops += 1
-        for node, index in reverse.get(bad, ()):
-            if node in analysis.marked:
-                continue
-            remaining[(node, index)] -= 1
-            if remaining[(node, index)] == 0:
-                analysis.marked.add(node)
-                queue.append(node)
-    return pops
+    return solve_safe(
+        word, output_types, target, k=k, invocable=invocable,
+        lazy=False, compile_cache=compile_cache,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.automata import core as automata_core
-from repro.automata.ops import language_equal, language_subset
+from repro.automata.ops import language_equal
 from repro.automata.symbols import DATA, OTHER, Alphabet, regex_symbols
 from repro.compile import context as compile_context
 from repro.errors import SchemaError
@@ -69,7 +68,7 @@ def _extensional(expr: Regex, output_types: Dict[str, Regex]) -> bool:
 
     Instances of such a type contain no call an expansion could touch, so
     "every children word safely rewrites into the target" collapses to
-    plain language inclusion — decidable on minimized DFAs without
+    plain language inclusion — decidable by the antichain search without
     playing the game.  Wildcards disqualify because an instance may put
     an invocable call where the wildcard stands.
     """
@@ -105,9 +104,7 @@ def _signatures_equivalent(sender_sig, receiver_sig, cc) -> bool:
     ):
         alphabet = Alphabet.closure(regex_symbols(ours), regex_symbols(theirs))
         if not language_equal(
-            cc.target_dfa(ours, alphabet),
-            cc.target_dfa(theirs, alphabet),
-            minimized=True,
+            cc.target_dfa(ours, alphabet), cc.target_dfa(theirs, alphabet)
         ):
             return False
     return True
@@ -271,22 +268,14 @@ def schema_safely_rewrites(
         shielded = _shield_wildcards(target)
         if _extensional(sender_type, problem_outputs):
             # Rewriting cannot touch instances of this label, so the
-            # game degenerates to inclusion of the content models —
-            # decided on Hopcroft-minimized DFAs from the compile cache.
-            # On the bitset core the receiver side stays a Glushkov NFA:
-            # the antichain search decides inclusion with no subset
-            # construction and no complement at all.
+            # game degenerates to inclusion of the content models.  The
+            # receiver side stays a Glushkov NFA: the antichain search
+            # decides inclusion with no subset construction and no
+            # complement at all.
             alphabet = Alphabet.closure(
                 regex_symbols(sender_type), regex_symbols(shielded)
             )
-            if automata_core.use_bitset():
-                safe = cc.antichain_subset(sender_type, shielded, alphabet)
-            else:
-                safe = language_subset(
-                    cc.target_dfa(sender_type, alphabet),
-                    cc.target_dfa(shielded, alphabet),
-                    minimized=True,
-                )
+            safe = cc.antichain_subset(sender_type, shielded, alphabet)
         else:
             analysis = analyze(
                 (VIRTUAL,),

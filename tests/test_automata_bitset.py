@@ -1,20 +1,22 @@
-"""The bitset automata core against the dict reference pipeline.
+"""The bitset automata core against independent references.
 
 Three layers of cross-validation, mirroring how the core is wired in:
 
 - **Construction identity** — ``bit_minimize(bit_determinize(nfa))``
   viewed back as a dict DFA must be *byte-identical* to
   ``minimize_hopcroft(determinize(nfa))``.  The compilation cache's
-  ``target_dfa_view``/``complement_view`` lean on this: bitset-core
-  analyses hand executors dict views whose state numbering matches what
-  the dict core would have produced.
+  ``target_dfa``/``complement`` views lean on this: analyses hand
+  executors and renderers dict views whose state numbering matches the
+  dict pipeline.
 - **Decision procedures** — ``bit_subset``/``bit_intersects`` and the
-  antichain inclusion check must agree with the complement-and-intersect
-  reference on a fuzzed corpus (500 seeded pairs for the antichain, per
-  the acceptance bar).
-- **Solvers** — safe/lazy/possible verdicts under ``using_core`` must
-  match the dict solvers on fuzzed word problems, with the lazy
-  exploration bound intact.
+  antichain inclusion check must agree with a plain pair search over
+  the dict DFAs on a fuzzed corpus (500 seeded pairs for the antichain).
+- **Solvers** — safe/lazy/possible verdicts must match the reference
+  interpreter (:mod:`repro.conformance.reference`) on fuzzed word
+  problems, with the lazy exploration bound intact.
+
+The compact expansion view the game runs on is pinned last: slotted
+edges, shared empty rows, and an allocation bound.
 """
 
 from __future__ import annotations
@@ -34,17 +36,20 @@ from repro.automata.bitset import (
     from_dfa,
     iter_bits,
 )
-from repro.automata.core import BITSET, DICT, active_core, using_core
-from repro.automata.dfa import complement, determinize, minimize_hopcroft
+from repro.automata.dfa import complement, complete, determinize, minimize_hopcroft
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.ops import intersects, language_subset
 from repro.automata.symbols import Alphabet, regex_symbols
+from repro.compile import DISABLED
 from repro.conformance.fuzzer import fuzz_word_scenario
+from repro.conformance.reference import reference_possible, reference_safe
+from repro.obs.memory import traced_peak
 from repro.regex.parser import parse_regex
-from repro.rewriting.bitgame import PNodeBitSet
+from repro.rewriting.bitgame import PNodeBitSet, _ExpansionView
+from repro.rewriting.expansion import build_expansion
 from repro.rewriting.lazy import analyze_safe_lazy
 from repro.rewriting.possible import analyze_possible
-from repro.rewriting.safe import analyze_safe
+from repro.rewriting.safe import alternatives, analyze_safe, problem_alphabet
 
 #: Representative sources: paper examples, bounded repeats, wildcards,
 #: nullable languages, and the empty language.
@@ -79,6 +84,34 @@ def _dict_pipeline(regex, alphabet):
 
 def _bit_pipeline(regex, alphabet):
     return bit_minimize(bit_determinize(glushkov_nfa(regex), alphabet))
+
+
+def _reachable_pairs(left, right):
+    """Completed operands and their reachable state pairs (plain BFS)."""
+    left, right = complete(left), complete(right)
+    start = (left.initial, right.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        l, r = stack.pop()
+        for symbol in left.alphabet:
+            pair = (left.transitions[l][symbol], right.transitions[r][symbol])
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return left, right, seen
+
+
+def _reference_subset(left, right):
+    left, right, pairs = _reachable_pairs(left, right)
+    return not any(
+        l in left.accepting and r not in right.accepting for l, r in pairs
+    )
+
+
+def _reference_intersects(left, right):
+    left, right, pairs = _reachable_pairs(left, right)
+    return any(l in left.accepting and r in right.accepting for l, r in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,38 +182,32 @@ class TestDecisionProcedures:
                 yield left_source, left, right_source, right
 
     def test_bit_subset_matches_reference(self):
-        with using_core(DICT):
-            for ls, left, rs, right in self._pairs():
-                expected = language_subset(left, right, minimized=True)
-                assert bit_subset(from_dfa(left), from_dfa(right)) == expected, (
-                    "subset(%s, %s)" % (ls, rs)
-                )
+        for ls, left, rs, right in self._pairs():
+            expected = _reference_subset(left, right)
+            assert bit_subset(from_dfa(left), from_dfa(right)) == expected, (
+                "subset(%s, %s)" % (ls, rs)
+            )
 
     def test_bit_intersects_matches_reference(self):
-        with using_core(DICT):
-            for ls, left, rs, right in self._pairs():
-                expected = intersects(left, right, minimized=True)
-                assert bit_intersects(from_dfa(left), from_dfa(right)) == expected, (
-                    "intersects(%s, %s)" % (ls, rs)
-                )
+        for ls, left, rs, right in self._pairs():
+            expected = _reference_intersects(left, right)
+            assert bit_intersects(from_dfa(left), from_dfa(right)) == expected, (
+                "intersects(%s, %s)" % (ls, rs)
+            )
 
-    def test_ops_dispatch_agrees_across_cores(self):
-        """`language_subset` answers identically under both cores."""
-        compiled = [_dict_pipeline(parse_regex(s), ALPHABET) for s in SOURCES]
-        for left in compiled:
-            for right in compiled:
-                with using_core(DICT):
-                    expected = language_subset(left, right, minimized=True)
-                with using_core(BITSET):
-                    assert language_subset(left, right, minimized=True) == expected
+    def test_ops_match_reference(self):
+        """`language_subset`/`intersects` answer like the pair search."""
+        for ls, left, rs, right in self._pairs():
+            assert language_subset(left, right) == _reference_subset(left, right)
+            assert intersects(left, right) == _reference_intersects(left, right)
 
     def test_antichain_cross_validation_500_seeds(self):
-        """Antichain inclusion vs complement-and-intersect on 500 pairs.
+        """Antichain inclusion vs the reference pair search on 500 pairs.
 
         Each seeded pair draws two fuzzer targets (stars included); the
         right side stays a Glushkov NFA for the antichain — no subset
         construction, no complement — yet the verdict must match the
-        dict core's reference on every pair.
+        pair search over both minimized dict DFAs on every pair.
         """
         disagreements = []
         for seed in range(500):
@@ -189,12 +216,10 @@ class TestDecisionProcedures:
             alphabet = Alphabet.closure(
                 regex_symbols(left_regex), regex_symbols(right_regex)
             )
-            with using_core(DICT):
-                expected = language_subset(
-                    _dict_pipeline(left_regex, alphabet),
-                    _dict_pipeline(right_regex, alphabet),
-                    minimized=True,
-                )
+            expected = _reference_subset(
+                _dict_pipeline(left_regex, alphabet),
+                _dict_pipeline(right_regex, alphabet),
+            )
             got = antichain_language_subset(
                 _bit_pipeline(left_regex, alphabet),
                 glushkov_nfa(right_regex),
@@ -203,7 +228,7 @@ class TestDecisionProcedures:
             if got != expected:
                 disagreements.append(seed)
         assert not disagreements, (
-            "antichain disagreed with complement-and-intersect on seeds %r"
+            "antichain disagreed with the pair search on seeds %r"
             % disagreements[:10]
         )
 
@@ -221,94 +246,64 @@ class TestDecisionProcedures:
 
 
 # ---------------------------------------------------------------------------
-# Solver agreement under the core switch
+# Solvers against the reference interpreter
 # ---------------------------------------------------------------------------
 
 
 class TestSolverAgreement:
-    def _verdicts(self, scenario):
-        kwargs = dict(k=scenario.k)
-        safe = analyze_safe(
-            scenario.word, scenario.output_types, scenario.target, **kwargs
+    def _analyses(self, scenario):
+        args = (scenario.word, scenario.output_types, scenario.target)
+        return (
+            analyze_safe(*args, k=scenario.k),
+            analyze_safe_lazy(*args, k=scenario.k),
+            analyze_possible(*args, k=scenario.k),
         )
-        lazy = analyze_safe_lazy(
-            scenario.word, scenario.output_types, scenario.target, **kwargs
-        )
-        possible = analyze_possible(
-            scenario.word, scenario.output_types, scenario.target, **kwargs
-        )
-        return safe, lazy, possible
 
     @pytest.mark.parametrize("seed", range(0, 40))
-    def test_verdicts_match_dict_core(self, seed):
+    def test_verdicts_match_reference(self, seed):
         scenario = fuzz_word_scenario(seed)
-        with using_core(DICT):
-            d_safe, d_lazy, d_possible = self._verdicts(scenario)
-        with using_core(BITSET):
-            b_safe, b_lazy, b_possible = self._verdicts(scenario)
-        assert b_safe.exists == d_safe.exists
-        assert b_lazy.exists == d_lazy.exists
-        assert b_possible.exists == d_possible.exists
-        # Safe implies lazy-safe implies possible, on both cores.
-        if b_safe.exists:
-            assert b_lazy.exists
-        if b_lazy.exists:
-            assert b_possible.exists
+        args = (scenario.word, scenario.output_types, scenario.target,
+                scenario.k)
+        ref_safe = reference_safe(*args)
+        ref_possible = reference_possible(*args)
+        # Fuzzed output types are star-free: the reference is exhaustive.
+        assert ref_safe.exact and ref_possible.exact
+        safe, lazy, possible = self._analyses(scenario)
+        assert safe.exists == ref_safe.exists
+        assert lazy.exists == ref_safe.exists
+        assert possible.exists == ref_possible.exists
         # The lazy solver never explores more than the eager one.
-        assert b_lazy.stats.product_explored <= b_safe.stats.product_explored
+        assert lazy.stats.product_explored <= safe.stats.product_explored
 
-    @pytest.mark.parametrize("seed", [3, 7, 11, 19])
-    def test_marked_sets_agree_on_executor_region(self, seed):
-        """Bitset marking agrees with dict marking on explored nodes.
+    @pytest.mark.parametrize("seed", range(0, 40))
+    def test_eager_and_lazy_strategies_agree(self, seed):
+        """Both markings agree wherever the executor can walk.
 
-        The executor only inspects nodes the dict solver explored; on
-        those, is_marked must coincide so plans and previews match.
+        The executor only visits nodes reached from the initial node
+        through unmarked ones; on that region ``is_marked`` must
+        coincide, so plans and previews match.
         """
         scenario = fuzz_word_scenario(seed)
-        with using_core(DICT):
-            reference = analyze_safe(
-                scenario.word, scenario.output_types, scenario.target,
-                k=scenario.k,
-            )
-        with using_core(BITSET):
-            analysis = analyze_safe(
-                scenario.word, scenario.output_types, scenario.target,
-                k=scenario.k,
-            )
-        for node in reference.explored:
-            assert analysis.is_marked(node) == reference.is_marked(node), node
+        safe, lazy, _possible = self._analyses(scenario)
+        region = {safe.initial}
+        stack = [safe.initial]
+        while stack:
+            node = stack.pop()
+            assert lazy.is_marked(node) == safe.is_marked(node), node
+            if safe.is_marked(node):
+                continue
+            for alt in alternatives(safe.expansion, safe, node):
+                for succ in alt.options:
+                    if succ not in region:
+                        region.add(succ)
+                        stack.append(succ)
+        if safe.exists:
+            assert lazy.preview_decisions() == safe.preview_decisions()
 
 
 # ---------------------------------------------------------------------------
-# The core switch and the PNodeBitSet view
+# The PNodeBitSet view
 # ---------------------------------------------------------------------------
-
-
-class TestCoreSwitch:
-    def test_default_is_dict(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUTOMATA_CORE", raising=False)
-        assert active_core() == DICT
-
-    def test_env_selects_bitset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOMATA_CORE", "bitset")
-        assert active_core() == BITSET
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOMATA_CORE", "simd")
-        with pytest.raises(ValueError):
-            active_core()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOMATA_CORE", "bitset")
-        with using_core(DICT):
-            assert active_core() == DICT
-        assert active_core() == BITSET
-
-    def test_override_restores_on_exit(self):
-        before = active_core()
-        with using_core(BITSET):
-            assert active_core() == BITSET
-        assert active_core() == before
 
 
 class TestPNodeBitSet:
@@ -343,3 +338,55 @@ class TestIterBits:
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         big = (1 << 200) | (1 << 63) | 1
         assert list(iter_bits(big)) == [0, 63, 200]
+
+
+# ---------------------------------------------------------------------------
+# The compact expansion view
+# ---------------------------------------------------------------------------
+
+
+class TestCompactView:
+    """Expansions and their mask views stay in the compile cache for as
+    long as their word does, one pair per distinct word; these pin the
+    layout that keeps that footprint small."""
+
+    OUTPUTS = {
+        "Get_Temp": parse_regex("temp"),
+        "TimeOut": parse_regex("(exhibit | performance)*"),
+        "Deep": parse_regex("(exhibit.Deep?){0,4}"),
+    }
+    TARGET = parse_regex(
+        "title.date.(temp.(TimeOut | (exhibit.performance?){0,16}))*"
+        ".(exhibit | Deep?)*"
+    )
+    WORD = ("title", "date") + ("Get_Temp", "TimeOut", "Deep") * 20
+
+    def _expansion(self):
+        return build_expansion(self.WORD, self.OUTPUTS, 2,
+                               compile_cache=DISABLED)
+
+    def _alphabet(self):
+        return problem_alphabet(self.WORD, self.OUTPUTS, self.TARGET)
+
+    def test_edges_are_slotted(self):
+        edge = self._expansion().edges[0]
+        with pytest.raises(AttributeError):
+            edge.__dict__
+
+    def test_rows_are_tuples_and_empty_rows_shared(self):
+        view = _ExpansionView(self._expansion(), self._alphabet())
+        for name in _ExpansionView.__slots__[1:]:
+            rows = getattr(view, name)
+            assert len(rows) == view.n_states
+            assert all(type(row) is tuple for row in rows), name
+            assert len({id(row) for row in rows if not row}) <= 1, name
+
+    def test_view_allocation_stays_bounded(self):
+        expansion = self._expansion()
+        alphabet = self._alphabet()
+        _view, peak = traced_peak(lambda: _ExpansionView(expansion, alphabet))
+        # Tuple rows with one shared empty row measure about 660 bytes a
+        # state here; nine lists per state measured about 990.
+        assert peak < 800 * expansion.n_states, (
+            "allocated %d bytes for %d states" % (peak, expansion.n_states)
+        )

@@ -38,12 +38,10 @@ class TestRunBench:
         second = run_bench("game_work", smoke=True)
         assert json.dumps(deterministic_view(first), sort_keys=True) == \
             json.dumps(deterministic_view(second), sort_keys=True)
-        assert first["verdicts_equal"] is True
-        for core in ("dict", "bitset"):
-            assert any("stage=\"game\"" in key
-                       for key in first["work"][core])
-            assert any("stage=\"compile\"" in key
-                       for key in first["work"][core])
+        assert first["verdicts_consistent"] is True
+        work = first["work"]["default"]
+        assert any("stage=\"game\"" in key for key in work)
+        assert any("stage=\"compile\"" in key for key in work)
 
     def test_compile_cache_bench_is_deterministic(self):
         first = run_bench("compile_cache", smoke=True)
@@ -56,13 +54,13 @@ class TestRunBench:
 class TestDeterministicView:
     def test_strips_wall_clock_and_machine(self):
         payload = {
-            "benchmark": "x", "dict_seconds": 1.23, "cold_ns": 5,
+            "benchmark": "x", "solve_seconds": 1.23, "cold_ns": 5,
             "overhead_fraction": 0.01, "machine": {"cpus": 8},
-            "work": {"dict": {"pops": 4.0}, "warm_seconds": 9.9},
+            "work": {"default": {"pops": 4.0}, "warm_seconds": 9.9},
             "speedup": 11.0, "within_budget": True,
         }
         view = deterministic_view(payload)
-        assert view == {"benchmark": "x", "work": {"dict": {"pops": 4.0}}}
+        assert view == {"benchmark": "x", "work": {"default": {"pops": 4.0}}}
 
     def test_preserves_counters_and_lists(self):
         payload = {"scenarios": ["a", "b"], "work": {"pops": 3.0}}
@@ -71,9 +69,9 @@ class TestDeterministicView:
 
 class TestDiffPayloads:
     BASE = {
-        "benchmark": "game_work", "smoke": True, "verdicts_equal": True,
-        "dict_seconds": 0.5,
-        "work": {"dict": {"pops": 100.0, "nodes": 10.0}},
+        "benchmark": "game_work", "smoke": True, "verdicts_consistent": True,
+        "solve_seconds": 0.5,
+        "work": {"default": {"pops": 100.0, "nodes": 10.0}},
     }
 
     def test_identical_payloads_have_no_regressions(self):
@@ -81,35 +79,57 @@ class TestDiffPayloads:
 
     def test_counter_growth_beyond_threshold_flags(self):
         current = copy.deepcopy(self.BASE)
-        current["work"]["dict"]["pops"] = 150.0
+        current["work"]["default"]["pops"] = 150.0
         (regression,) = diff_payloads(self.BASE, current, threshold=0.10)
         assert "pops" in regression and "150" in regression
 
     def test_counter_growth_within_threshold_passes(self):
         current = copy.deepcopy(self.BASE)
-        current["work"]["dict"]["pops"] = 105.0
+        current["work"]["default"]["pops"] = 105.0
         assert diff_payloads(self.BASE, current, threshold=0.10) == []
 
     def test_improvements_never_flag(self):
         current = copy.deepcopy(self.BASE)
-        current["work"]["dict"]["pops"] = 10.0
+        current["work"]["default"]["pops"] = 10.0
         assert diff_payloads(self.BASE, current) == []
 
     def test_wall_clock_changes_are_ignored(self):
         current = copy.deepcopy(self.BASE)
-        current["dict_seconds"] = 500.0  # a 1000x slowdown: not our problem
+        current["solve_seconds"] = 500.0  # a 1000x slowdown: not our problem
         assert diff_payloads(self.BASE, current) == []
 
     def test_true_turning_false_flags(self):
         current = copy.deepcopy(self.BASE)
-        current["verdicts_equal"] = False
+        current["verdicts_consistent"] = False
         (regression,) = diff_payloads(self.BASE, current)
-        assert "verdicts_equal" in regression
+        assert "verdicts_consistent" in regression
 
     def test_new_keys_do_not_flag(self):
         current = copy.deepcopy(self.BASE)
-        current["work"]["bitset"] = {"pops": 1e9}
+        current["work"]["other"] = {"pops": 1e9}
         assert diff_payloads(self.BASE, current) == []
+
+    def test_vanished_counter_flags(self):
+        # A counter the code stops reporting can no longer be gated; the
+        # differ must say so instead of skipping it.
+        current = copy.deepcopy(self.BASE)
+        del current["work"]["default"]["nodes"]
+        (regression,) = diff_payloads(self.BASE, current)
+        assert regression == "work.default.nodes: 10.0 -> missing"
+
+    def test_vanished_configuration_flags_every_counter(self):
+        current = copy.deepcopy(self.BASE)
+        del current["work"]["default"]
+        assert diff_payloads(self.BASE, current) == [
+            "work.default.nodes: 10.0 -> missing",
+            "work.default.pops: 100.0 -> missing",
+        ]
+
+    def test_vanished_boolean_flags(self):
+        current = copy.deepcopy(self.BASE)
+        del current["verdicts_consistent"]
+        (regression,) = diff_payloads(self.BASE, current)
+        assert "verdicts_consistent" in regression
 
 
 class TestCompareAgainst:

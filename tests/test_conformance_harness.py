@@ -177,7 +177,7 @@ class TestDifferentialRunner:
     def test_matrix_has_expected_members(self):
         assert [config.name for config in DEFAULT_MATRIX] == [
             "baseline", "workers-4", "eager-game", "traced", "resilient",
-            "shared-cache", "bitset-core", "streamed",
+            "shared-cache", "streamed",
         ]
         assert SELF_TEST_MATRIX[-1].name == "mutant"
 

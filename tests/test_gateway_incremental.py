@@ -10,6 +10,7 @@ LRU bound (``repro_gateway_incremental_total{event="evicted"}``, then
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -103,6 +104,39 @@ class TestEditScriptMode:
         assert payload["reuse"]["nodes_reused"] > 0
         assert payload["reuse"]["invocations_reused"] >= 1
         assert payload["reuse"]["invocations_performed"] == 0
+
+    def test_reply_check_runs_off_the_event_loop(self, gateway, monkeypatch):
+        # Both session events (open, apply) validate their reply inside
+        # the pool job, never on the loop thread serving connections.
+        from repro.gateway import service
+
+        threads = []
+
+        def recording_validate(document, schema):
+            threads.append(threading.current_thread())
+            return validate(document, schema)
+
+        validate = service.validate
+        monkeypatch.setattr(service, "validate", recording_validate)
+
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            try:
+                opened = await client.open_session(
+                    "alice", "bob", "doc-1", DOCUMENT_XML, seed=42
+                )
+                edited = await client.apply_edits(
+                    "alice", "bob", "doc-1", RETITLE
+                )
+                return opened, edited
+            finally:
+                await client.close()
+
+        opened, edited = run(go())
+        assert opened.status == edited.status == 200
+        assert opened.json()["accepted"] is edited.json()["accepted"] is True
+        assert len(threads) == 2
+        assert gateway._thread not in threads
 
     def test_unknown_document_id_is_typed_404(self, gateway):
         async def go():

@@ -63,6 +63,35 @@ class TestRoundTrip:
             SENDER_XSD, RECEIVER_XSD, DOCUMENT_XML, seed=42
         )
 
+    def test_reply_check_runs_off_the_event_loop(self, gateway, monkeypatch):
+        # The reply's re-parse and validation are CPU work on the whole
+        # document; run on the loop they would stall every connection.
+        from repro.gateway import service
+
+        threads = []
+
+        def recording_validate(document, schema):
+            threads.append(threading.current_thread())
+            return validate(document, schema)
+
+        validate = service.validate
+        monkeypatch.setattr(service, "validate", recording_validate)
+
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            try:
+                return await client.exchange(
+                    "alice", "bob", DOCUMENT_XML, seed=42
+                )
+            finally:
+                await client.close()
+
+        reply = run(go())
+        assert reply.status == 200
+        assert reply.json()["accepted"] is True
+        assert threads, "the reply was never validated"
+        assert gateway._thread not in threads
+
     def test_keep_alive_reuses_one_connection(self, gateway):
         async def go():
             client = GatewayClient(gateway.host, gateway.port)

@@ -43,8 +43,8 @@ class TestPhaseMapping:
         assert phase_of("invoke") == "materialize"
         assert phase_of("compile.nfa") == "compile"
         assert phase_of("compile.expansion") == "compile"
-        assert phase_of("compile.dfa") == "determinize"
-        assert phase_of("compile.comp") == "determinize"
+        assert phase_of("compile.bitdfaview") == "determinize"
+        assert phase_of("compile.bitcomp") == "determinize"
         assert phase_of("compile.bitdfa") == "determinize"
         assert phase_of("compile.bitcompview") == "determinize"
         assert phase_of("exec.wave") == "materialize"
@@ -52,7 +52,7 @@ class TestPhaseMapping:
         assert phase_of("enforce") == "other"
 
     def test_every_phase_is_listed(self):
-        for name in ("compile.nfa", "compile.dfa", "product", "game",
+        for name in ("compile.nfa", "compile.bitdfa", "product", "game",
                      "invoke", "document"):
             assert phase_of(name) in PHASES
 
@@ -80,7 +80,7 @@ class TestProfileSpans:
         spans = [
             span(1, None, "enforce", 0.0, 10.0),
             span(2, 1, "product", 1.0, 5.0),
-            span(3, 2, "compile.dfa", 2.0, 4.0),
+            span(3, 2, "compile.bitdfa", 2.0, 4.0),
             span(4, 1, "game", 6.0, 9.0),
         ]
         profile = profile_spans(spans)

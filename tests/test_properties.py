@@ -127,7 +127,7 @@ class TestRewritingInvariants:
     def test_lazy_agrees_with_eager(self, problem):
         word, output_types, target, k = problem
         eager = analyze_safe(word, output_types, target, k=k)
-        lazy = analyze_safe_lazy(word, output_types, target, k=k, early_exit=False)
+        lazy = analyze_safe_lazy(word, output_types, target, k=k)
         assert eager.exists == lazy.exists
 
     @given(word_problems())

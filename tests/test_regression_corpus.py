@@ -112,9 +112,7 @@ class TestCorpus:
 
     def test_lazy_agrees_with_eager(self, case):
         eager = analyze_safe(case.word, case.outputs, case.target, case.k)
-        lazy = analyze_safe_lazy(
-            case.word, case.outputs, case.target, case.k, early_exit=False
-        )
+        lazy = analyze_safe_lazy(case.word, case.outputs, case.target, case.k)
         assert eager.exists == lazy.exists, case.name
 
     def test_possible_matches_table(self, case):

@@ -32,7 +32,7 @@ class TestAgreementWithEager:
         problem = random_word_problem(random.Random(seed))
         eager = analyze_safe(problem.word, problem.output_types, problem.target)
         lazy = analyze_safe_lazy(
-            problem.word, problem.output_types, problem.target, early_exit=False
+            problem.word, problem.output_types, problem.target
         )
         assert eager.exists == lazy.exists
 
@@ -65,9 +65,7 @@ class TestPruning:
     def test_explores_no_more_than_eager(self, newspaper_outputs):
         for target in (R2, R3):
             eager = analyze_safe(WORD, newspaper_outputs, target, k=1)
-            lazy = analyze_safe_lazy(
-                WORD, newspaper_outputs, target, k=1, early_exit=False
-            )
+            lazy = analyze_safe_lazy(WORD, newspaper_outputs, target, k=1)
             assert lazy.stats.product_explored <= eager.stats.product_explored
 
     def test_sink_pruning_helps_on_figure_6(self, newspaper_outputs):
@@ -75,13 +73,10 @@ class TestPruning:
         lazy = analyze_safe_lazy(WORD, newspaper_outputs, R2, k=1)
         assert lazy.stats.product_explored < eager.stats.product_explored
 
-    def test_early_exit_stops_on_unsafe(self, newspaper_outputs):
-        with_exit = analyze_safe_lazy(WORD, newspaper_outputs, R3, k=1)
-        without = analyze_safe_lazy(
-            WORD, newspaper_outputs, R3, k=1, early_exit=False
-        )
-        assert with_exit.exists == without.exists is False
-        assert with_exit.stats.product_explored <= without.stats.product_explored
+    def test_unsafe_answer_marks_the_initial_node(self, newspaper_outputs):
+        lazy = analyze_safe_lazy(WORD, newspaper_outputs, R3, k=1)
+        assert lazy.exists is False
+        assert lazy.is_marked(lazy.initial)
 
 
 class TestLazyExecution:
