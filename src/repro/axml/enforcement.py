@@ -15,6 +15,7 @@ and results), on top of :class:`repro.rewriting.RewriteEngine`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.doc.document import Document
@@ -28,7 +29,7 @@ from repro.rewriting.plan import InvocationLog
 from repro.rewriting.safe import Invoker
 from repro.schema.model import Schema
 from repro.schema.patterns import InvocationPolicy, allow_all
-from repro.schema.validate import is_instance, validate
+from repro.schema.validate import InstanceChecker
 from repro.services.resilience import FaultReport
 
 
@@ -97,6 +98,14 @@ class SchemaEnforcer:
     #: resort when plain rewriting cannot reach the target structure.
     converters: tuple = ()
 
+    @cached_property
+    def checker(self) -> InstanceChecker:
+        """The Definition 3 checker for this schema pair, built on first
+        use and handed to the stream driver and sessions."""
+        return InstanceChecker(
+            self.target_schema, self.sender_schema, self.compile_cache
+        )
+
     def _engine(self) -> RewriteEngine:
         return RewriteEngine(
             target_schema=self.target_schema,
@@ -137,7 +146,7 @@ class SchemaEnforcer:
         self, document: Document, invoker: Invoker
     ) -> EnforcementOutcome:
         # (i) verify
-        if is_instance(document, self.target_schema, self.sender_schema):
+        if self.checker.ok(document.root):
             return EnforcementOutcome(
                 document, None, True, 0, InvocationLog(),
                 fault_report=self._fault_report(invoker),
@@ -156,7 +165,7 @@ class SchemaEnforcer:
                 None, None, False, 0, InvocationLog(), error=str(exc),
                 fault_report=self._fault_report(invoker),
             )
-        report = validate(result.document, self.target_schema, self.sender_schema)
+        report = self.checker.validate(result.document.root)
         if not report.ok:
             return EnforcementOutcome(
                 None, None, False, len(result.log), result.log,
@@ -199,12 +208,14 @@ class SchemaEnforcer:
             raise ValueError(
                 "streaming enforcement supports safe/auto modes only"
             )
-        from repro.stream.enforce import stream_rewrite
+        from repro.stream.enforce import _stream_rewrite
 
         engine = self._engine()
         with obs.tracer().span("enforce", scope="stream") as span:
             try:
-                result = stream_rewrite(engine, source, invoker, write)
+                result = _stream_rewrite(
+                    engine, source, invoker, write, self.checker
+                )
             except (RewriteError, SchemaError, ServiceError) as exc:
                 outcome = EnforcementOutcome(
                     None, None, False, 0, InvocationLog(), error=str(exc),
@@ -250,8 +261,7 @@ class SchemaEnforcer:
             result = self._engine().rewrite(converted, invoker)
         except (RewriteError, SchemaError, ServiceError, ValueError):
             return None
-        report = validate(result.document, self.target_schema, self.sender_schema)
-        if not report.ok:
+        if not self.checker.ok(result.document.root):
             return None
         return EnforcementOutcome(
             result.document, None, False, len(result.log), result.log,
@@ -281,17 +291,7 @@ class SchemaEnforcer:
     def _enforce_forest(
         self, forest: Sequence[Node], target: Regex, invoker: Invoker
     ) -> EnforcementOutcome:
-        from repro.schema.validate import word_matches
-        from repro.doc.nodes import symbol_of
-
-        word = tuple(symbol_of(node) for node in forest)
-        conformant = word_matches(
-            word, target, self.target_schema, self.sender_schema
-        ) and all(
-            is_instance(node, self.target_schema, self.sender_schema, strict=False)
-            for node in forest
-        )
-        if conformant:
+        if self.checker.forest_ok(forest, target):
             return EnforcementOutcome(
                 None, tuple(forest), True, 0, InvocationLog(),
                 fault_report=self._fault_report(invoker),

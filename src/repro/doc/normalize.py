@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.doc.document import Document
-from repro.doc.nodes import Element, FunctionCall, Node, Text
+from repro.doc.nodes import Element, FunctionCall, Node, Text, children_of
 from repro.errors import DocumentError
 
 
@@ -49,60 +49,56 @@ def normalize_node(node: Node) -> Node:
     content the ``int:`` syntax cannot carry.  Returns ``node`` itself
     (same object) when it is already normal, so normalization preserves
     structural sharing — an already-normal subtree keeps its identity.
+    Iterative post-order: any depth, and errors surface in post-order.
     """
+    # Frames: [node, its children, next child index, normalized children].
+    frames = [[node, children_of(node), 0, []]]
+    while True:
+        frame = frames[-1]
+        parent, kids, index, normal = frame
+        if index < len(kids):
+            frame[2] = index + 1
+            child = kids[index]
+            # A blank text child of an element would vanish on re-parse,
+            # so it is dropped.  int:param wraps each parameter
+            # individually, so a Text parameter round-trips even when
+            # empty — its value is only stripped.
+            if (isinstance(parent, Element) and isinstance(child, Text)
+                    and not child.value.strip()):
+                continue
+            frames.append([child, children_of(child), 0, []])
+            continue
+        frames.pop()
+        result = _rebuilt(parent, kids, normal)
+        if not frames:
+            return result
+        frames[-1][3].append(result)
+
+
+def _rebuilt(node: Node, kids: Tuple[Node, ...], normal: List[Node]) -> Node:
+    """``node`` over its normalized children (itself when unchanged)."""
     if isinstance(node, Text):
         stripped = node.value.strip()
         return node if stripped == node.value else Text(stripped)
     if isinstance(node, Element):
-        children, changed = _normal_children(node.children, node.label)
-        if not changed:
-            return node
-        return Element(node.label, children, node.attributes)
-    if isinstance(node, FunctionCall):
-        # int:param wraps each parameter individually, so a Text
-        # parameter round-trips even when empty — only strip values.
-        params: List[Node] = []
-        changed = False
-        for param in node.params:
-            if isinstance(param, Text):
-                normal: Node = normalize_node(param)
-            else:
-                normal = normalize_node(param)
-                if isinstance(normal, Text) and not normal.value:
-                    raise UnserializableDocumentError(
-                        "empty non-text parameter of %r cannot be "
-                        "serialized" % node.name
-                    )
-            changed = changed or normal is not param
-            params.append(normal)
-        if not changed:
-            return node
-        return FunctionCall(
-            node.name, tuple(params), node.endpoint, node.namespace
-        )
-    raise TypeError("not a document node: %r" % (node,))
-
-
-def _normal_children(
-    children: Tuple[Node, ...], label: str
-) -> Tuple[Tuple[Node, ...], bool]:
-    normal: List[Node] = []
-    changed = False
-    for child in children:
-        if isinstance(child, Text) and not child.value.strip():
-            changed = True  # dropped: it would vanish on re-parse
-            continue
-        result = normalize_node(child)
-        changed = changed or result is not child
-        normal.append(result)
-    texts = sum(1 for child in normal if isinstance(child, Text))
-    if texts and len(normal) > 1:
-        raise UnserializableDocumentError(
-            "mixed content under <%s> does not survive an XML "
-            "round-trip (%d text node(s) among %d children)"
-            % (label, texts, len(normal))
-        )
-    return tuple(normal), changed
+        texts = sum(1 for child in normal if isinstance(child, Text))
+        if texts and len(normal) > 1:
+            raise UnserializableDocumentError(
+                "mixed content under <%s> does not survive an XML "
+                "round-trip (%d text node(s) among %d children)"
+                % (node.label, texts, len(normal))
+            )
+    elif not isinstance(node, FunctionCall):
+        raise TypeError("not a document node: %r" % (node,))
+    if len(normal) == len(kids) and all(
+        new is old for new, old in zip(normal, kids)
+    ):
+        return node
+    if isinstance(node, Element):
+        return Element(node.label, tuple(normal), node.attributes)
+    return FunctionCall(
+        node.name, tuple(normal), node.endpoint, node.namespace
+    )
 
 
 def normalize_document(document: Document) -> Document:

@@ -59,10 +59,10 @@ from repro.errors import RewriteError, SchemaError, ServiceError
 from repro.exec.fingerprint import call_fingerprint
 from repro.incremental.edits import DocEdit, apply_edits
 from repro.obs import context as obs
+from repro.obs.metrics import record_work
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
 from repro.rewriting.plan import InvocationLog, InvocationRecord
-from repro.schema.validate import validate, word_matches
-from repro.schema.model import Schema
+from repro.schema.validate import InstanceChecker
 
 
 # ---------------------------------------------------------------------------
@@ -115,53 +115,51 @@ class _SubtreeEntry:
 class ConformanceMemo:
     """Per-node instance checking, memoized by identity.
 
-    Mirrors :func:`repro.schema.validate.validate` (strict) exactly:
-    ``ok(root)`` equals ``validate(root, schema, sender).ok``.  Checking
-    is per-node-local (declaredness + children word) plus recursion, so
+    ``ok(root)`` equals ``checker.ok(root)`` (strict Definition 3): a
+    node's verdict is ``local_ok(node) and all(ok(child) ...)``, so
     memoizing by identity makes re-verification after an edit O(spine).
+    The walk is iterative (any depth) and short-circuits in that order:
+    a fully checked subtree is memoized True, each open ancestor of the
+    first failure False.
     """
 
-    def __init__(self, schema: Schema, sender_schema: Optional[Schema]):
-        self.schema = schema
-        self.sender_schema = sender_schema
+    def __init__(self, checker: InstanceChecker):
+        self.checker = checker
         self._memo = _IdentityMemo()
         self.checked = 0
         self.reused = 0
+        #: Children words checked (element and call nodes not reused).
+        self.words = 0
 
-    def ok(self, node: Node) -> bool:
-        cached = self._memo.get(node)
-        if cached is not None:
-            self.reused += 1
-            return cached
-        self.checked += 1
-        verdict = self._local_ok(node) and all(
-            self.ok(child) for child in children_of(node)
-        )
-        self._memo.put(node, verdict)
-        return verdict
-
-    def _local_ok(self, node: Node) -> bool:
-        from repro.doc.paths import child_word
-
-        if isinstance(node, Text):
-            return True
-        if isinstance(node, Element):
-            expr = self.schema.type_of(node.label)
-            if expr is None:
-                return False  # strict: undeclared label
-            return word_matches(
-                child_word(node), expr, self.schema, self.sender_schema
-            )
-        signature = self.schema.signature_of(node.name)
-        if signature is None and self.sender_schema is not None:
-            signature = self.sender_schema.signature_of(node.name)
-        if signature is None:
-            # strict: a pattern must admit the function
-            return bool(self.schema.matching_patterns(node.name, None))
-        return word_matches(
-            child_word(node), signature.input_type,
-            self.schema, self.sender_schema,
-        )
+    def ok(self, root: Node) -> bool:
+        memo = self._memo
+        undecided: List[Node] = []  # entered nodes whose subtree is open
+        stack: List[Optional[Node]] = [root]
+        while stack:
+            node = stack.pop()
+            if node is None:  # the innermost undecided node's subtree passed
+                memo.put(undecided.pop(), True)
+                continue
+            verdict = memo.get(node)
+            if verdict is not None:
+                self.reused += 1
+            else:
+                self.checked += 1
+                if not isinstance(node, Text):
+                    self.words += 1
+                verdict = self.checker.local_ok(node)
+                kids = children_of(node)
+                if verdict and kids:
+                    undecided.append(node)
+                    stack.append(None)
+                    stack.extend(reversed(kids))
+                    continue
+                memo.put(node, verdict)
+            if not verdict:
+                for ancestor in undecided:
+                    memo.put(ancestor, False)
+                return False
+        return True
 
 
 class CachingInvoker:
@@ -425,9 +423,7 @@ class EnforcementSession:
             lazy=enforcer.lazy,
             compile_cache=cc,
         )
-        self._verify = ConformanceMemo(
-            enforcer.target_schema, enforcer.sender_schema
-        )
+        self._verify = ConformanceMemo(enforcer.checker)
         self.document = normalize_document(document)
         self.enforced: Optional[Document] = None
         self.last_outcome: Optional[IncrementalOutcome] = None
@@ -486,9 +482,13 @@ class EnforcementSession:
         invoker = self._invoker
         engine.reset_pass_counters()
         checked0, reused0 = verify.checked, verify.reused
+        words0 = verify.words
         performed0, inv_reused0 = invoker.performed, invoker.reused
 
         def counters(outcome: IncrementalOutcome) -> IncrementalOutcome:
+            record_work(
+                obs.metrics(), "check", {"words": verify.words - words0}
+            )
             outcome.nodes_reanalyzed = engine.nodes_reanalyzed
             outcome.nodes_reused = engine.nodes_reused
             outcome.subtree_nodes_reused = engine.subtree_nodes_reused
@@ -517,10 +517,7 @@ class EnforcementSession:
         # failure path run the full validator for the byte-identical
         # violation report.
         if not verify.ok(result.document.root):
-            report = validate(
-                result.document, self.enforcer.target_schema,
-                self.enforcer.sender_schema,
-            )
+            report = verify.checker.validate(result.document.root)
             return counters(IncrementalOutcome(
                 None, False, len(result.log), result.log,
                 error="rewriting produced a non-conformant document: %s"

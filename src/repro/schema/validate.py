@@ -6,23 +6,36 @@ with label ``l`` the symbols of its children form a word of
 word of ``lang(tau_in(f))``.  Pattern atoms in the type expressions match
 any concrete function the pattern admits.
 
-:func:`validate` walks the whole tree and returns a report carrying every
-violation (with its path), rather than failing on the first one — the
-Schema Enforcement module reports all problems of a rejected exchange at
-once.
+:class:`InstanceChecker` is the one implementation of that check, shared
+by :func:`validate`, the Schema Enforcement module, the streaming driver
+and incremental sessions.  :func:`validate` returns a report carrying
+every violation (with its path), rather than failing on the first one —
+the Schema Enforcement module reports all problems of a rejected
+exchange at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.automata.bitset import BitDFA
 from repro.automata.glushkov import glushkov_nfa
-from repro.automata.symbols import class_matches
-from repro.doc.nodes import Element, FunctionCall, Node, Text
+from repro.automata.symbols import Alphabet, class_matches, regex_symbols
+from repro.compile import context as compile_context
+from repro.doc.nodes import (
+    Element,
+    Node,
+    Text,
+    children_of,
+    iter_subtree,
+    symbol_of,
+)
 from repro.doc.paths import Path, child_word, iter_nodes
-from repro.regex.ast import Regex
-from repro.schema.model import FunctionSignature, Schema
+from repro.obs import context as obs
+from repro.obs.metrics import record_work
+from repro.regex.ast import Regex, alt, atom
+from repro.schema.model import FunctionSignature, Schema, _substitute
 
 
 @dataclass(frozen=True)
@@ -59,21 +72,153 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _signature_lookup(schema: Schema, sender_schema: Optional[Schema]):
-    """Resolve function signatures against the target then sender schema.
+class InstanceChecker:
+    """Definition 3, compiled once per (target, sender) schema pair.
 
-    Section 4 assumes common functions have the same definitions in both
-    schemas (they come from the same WSDL descriptions); the sender schema
-    fills in functions the target does not declare.
+    Each content model compiles, on first use, to the minimal ``BitDFA``
+    of its resolved form from the compile cache (``None``: the ambient
+    one): every target-schema pattern atom ``P`` becomes
+    ``P | f1 | … | fn`` over the functions and patterns either schema
+    declares that ``P`` admits.  A symbol outside the DFA's alphabet
+    folds to ``OTHER``, which only wildcards accept — exactly how an
+    unknown name meets atoms, wildcards and patterns.  The Glushkov NFA
+    run of :func:`diagnose_word` only explains failed words.
     """
 
-    def lookup(name: str) -> Optional[FunctionSignature]:
-        signature = schema.signature_of(name)
-        if signature is None and sender_schema is not None:
-            signature = sender_schema.signature_of(name)
+    def __init__(self, schema: Schema, sender_schema: Optional[Schema] = None,
+                 compile_cache=None):
+        self.schema = schema
+        self.sender_schema = sender_schema
+        self.compile_cache = compile_cache
+        self._resolution: Optional[Dict[str, Regex]] = None
+        self._dfas: Dict[int, Tuple[Regex, BitDFA]] = {}
+
+    def signature_of(self, name: str) -> Optional[FunctionSignature]:
+        """The target's signature, else the sender's.
+
+        Section 4 assumes common functions have the same definitions in
+        both schemas (they come from the same WSDL descriptions); the
+        sender schema fills in functions the target does not declare.
+        """
+        signature = self.schema.signature_of(name)
+        if signature is None and self.sender_schema is not None:
+            signature = self.sender_schema.signature_of(name)
         return signature
 
-    return lookup
+    def word_ok(self, word: Sequence[str], expr: Regex) -> bool:
+        """Does a children word belong to ``lang(expr)``, patterns included?"""
+        entry = self._dfas.get(id(expr))
+        if entry is None or entry[0] is not expr:
+            resolved = expr
+            if self.schema.patterns:
+                resolved = _substitute(expr, self._patterns())
+            cache = self.compile_cache
+            if cache is None:
+                cache = compile_context.cache()
+            entry = (expr, cache.bit_target_dfa(
+                resolved, Alphabet.closure(regex_symbols(resolved))
+            ))
+            self._dfas[id(expr)] = entry
+        return entry[1].accepts(word)
+
+    def _patterns(self) -> Dict[str, Regex]:
+        """Each pattern name's resolution, computed on first use."""
+        if self._resolution is None:
+            names = set(self.schema.functions) | set(self.schema.patterns)
+            if self.sender_schema is not None:
+                names |= set(self.sender_schema.functions)
+                names |= set(self.sender_schema.patterns)
+            self._resolution = {
+                pattern.name: alt(atom(pattern.name), *(
+                    atom(name) for name in sorted(names)
+                    if pattern.admits(name, self.signature_of(name))
+                ))
+                for pattern in self.schema.patterns.values()
+            }
+        return self._resolution
+
+    def _type_of(self, node: Node) -> Optional[Regex]:
+        """``tau`` of an element or ``tau_in`` of a call (None: undeclared)."""
+        if isinstance(node, Element):
+            return self.schema.type_of(node.label)
+        signature = self.signature_of(node.name)
+        return None if signature is None else signature.input_type
+
+    def local_ok(self, node: Node, strict: bool = True) -> bool:
+        """Definition 3 at one node; undeclared symbols fail iff ``strict``."""
+        if isinstance(node, Text):
+            return True
+        expr = self._type_of(node)
+        if expr is None:
+            return not strict
+        return self.word_ok(tuple(map(symbol_of, children_of(node))), expr)
+
+    def ok(self, root: Node, strict: bool = True) -> bool:
+        """Is the subtree an instance?  Iterative (any depth), stopping at
+        the first failing node; one ``check`` work record per walk."""
+        verdict = True
+        words = 0
+        for node in iter_subtree(root):
+            if isinstance(node, Text):
+                continue
+            words += 1
+            if not self.local_ok(node, strict):
+                verdict = False
+                break
+        record_work(obs.metrics(), "check", {"words": words})
+        return verdict
+
+    def forest_ok(self, forest: Sequence[Node], expr: Regex) -> bool:
+        """Is the forest's root word in ``lang(expr)`` and every tree an
+        instance (undeclared symbols unconstrained)?"""
+        return self.word_ok(tuple(map(symbol_of, forest)), expr) and all(
+            self.ok(tree, strict=False) for tree in forest
+        )
+
+    def validate(self, root: Node, strict: bool = True) -> ValidationReport:
+        """Every violation under ``root``, in document order; only the
+        nodes that failed are diagnosed."""
+        report = ValidationReport()
+        words = 0
+        for path, node in iter_nodes(root):
+            if isinstance(node, Text):
+                continue
+            words += 1
+            if not self.local_ok(node, strict):
+                report.violations.append(self._violation(path, node))
+        diagnoses = sum(
+            v.kind in ("content", "input") for v in report.violations
+        )
+        record_work(
+            obs.metrics(), "check", {"words": words, "diagnoses": diagnoses}
+        )
+        return report
+
+    def _violation(self, path: Path, node: Node) -> Violation:
+        element = isinstance(node, Element)
+        symbol = node.label if element else node.name
+        expr = self._type_of(node)
+        if expr is None:
+            if element:
+                return Violation(
+                    path, symbol, "undeclared-label",
+                    "element label %r is not declared by the schema" % symbol,
+                )
+            return Violation(
+                path, symbol, "undeclared-function",
+                "function %r has no declared signature" % symbol,
+            )
+        word = child_word(node)
+        template = (
+            "children word %s does not match %s (%s)" if element
+            else "parameters %s do not match input type %s (%s)"
+        )
+        diagnosis = diagnose_word(word, expr, self.schema, self.sender_schema)
+        return Violation(
+            path, symbol, "content" if element else "input",
+            template % (".".join(word) or "eps", expr,
+                        diagnosis.message(word)),
+        )
 
 
 def word_matches(
@@ -86,10 +231,9 @@ def word_matches(
 
     The word contains concrete symbols (labels, function names, ``#data``)
     while ``expr`` may contain pattern atoms; a pattern atom matches any
-    function name it admits.  Implemented as an NFA run with an extended
-    guard matcher, so it works for nondeterministic expressions too.
+    function name it admits.
     """
-    return _run_word(word, expr, schema, sender_schema).ok
+    return InstanceChecker(schema, sender_schema).word_ok(word, expr)
 
 
 @dataclass(frozen=True)
@@ -117,13 +261,15 @@ class WordDiagnosis:
         )
 
 
-def _run_word(
+def diagnose_word(
     word: Sequence[str],
     expr: Regex,
     schema: Schema,
-    sender_schema: Optional[Schema],
+    sender_schema: Optional[Schema] = None,
 ) -> WordDiagnosis:
-    lookup = _signature_lookup(schema, sender_schema)
+    """Explain why a children word fails a content model (or confirm it):
+    an NFA run in which a pattern atom matches any function it admits."""
+    lookup = InstanceChecker(schema, sender_schema).signature_of
     nfa = glushkov_nfa(expr)
 
     def guard_matches(guard, symbol: str) -> bool:
@@ -162,15 +308,6 @@ def _run_word(
     return WordDiagnosis(False, len(word), None, expected_at(current))
 
 
-def diagnose_word(
-    word: Sequence[str],
-    expr: Regex,
-    schema: Schema,
-    sender_schema: Optional[Schema] = None,
-) -> WordDiagnosis:
-    """Explain why a children word fails a content model (or confirm it)."""
-    return _run_word(word, expr, schema, sender_schema)
-
 
 def validate(
     document_or_node,
@@ -181,75 +318,12 @@ def validate(
     """Check Definition 3 over a document (or bare node).
 
     With ``strict`` (the default) every element label must be declared by
-    the schema and every function name must be declared or admitted by at
-    least one pattern; with ``strict=False`` undeclared symbols are
-    unconstrained, which is the literal reading of Definition 3.
+    the schema and every function must have a signature in either schema;
+    with ``strict=False`` undeclared symbols are unconstrained, which is
+    the literal reading of Definition 3.
     """
     root: Node = getattr(document_or_node, "root", document_or_node)
-    lookup = _signature_lookup(schema, sender_schema)
-    report = ValidationReport()
-
-    for path, node in iter_nodes(root):
-        if isinstance(node, Text):
-            continue
-        if isinstance(node, Element):
-            expr = schema.type_of(node.label)
-            if expr is None:
-                if strict:
-                    report.violations.append(
-                        Violation(
-                            path,
-                            node.label,
-                            "undeclared-label",
-                            "element label %r is not declared by the schema"
-                            % node.label,
-                        )
-                    )
-                continue
-            word = child_word(node)
-            diagnosis = _run_word(word, expr, schema, sender_schema)
-            if not diagnosis.ok:
-                report.violations.append(
-                    Violation(
-                        path,
-                        node.label,
-                        "content",
-                        "children word %s does not match %s (%s)"
-                        % (".".join(word) or "eps", expr,
-                           diagnosis.message(word)),
-                    )
-                )
-            continue
-        if isinstance(node, FunctionCall):
-            signature = lookup(node.name)
-            admitted = signature is not None or bool(
-                schema.matching_patterns(node.name, None)
-            )
-            if signature is None:
-                if strict and not admitted:
-                    report.violations.append(
-                        Violation(
-                            path,
-                            node.name,
-                            "undeclared-function",
-                            "function %r has no declared signature" % node.name,
-                        )
-                    )
-                continue
-            word = child_word(node)
-            diagnosis = _run_word(word, signature.input_type, schema, sender_schema)
-            if not diagnosis.ok:
-                report.violations.append(
-                    Violation(
-                        path,
-                        node.name,
-                        "input",
-                        "parameters %s do not match input type %s (%s)"
-                        % (".".join(word) or "eps", signature.input_type,
-                           diagnosis.message(word)),
-                    )
-                )
-    return report
+    return InstanceChecker(schema, sender_schema).validate(root, strict)
 
 
 def is_instance(
@@ -259,7 +333,16 @@ def is_instance(
     strict: bool = True,
 ) -> bool:
     """Shorthand: True iff :func:`validate` reports no violations."""
-    return validate(document_or_node, schema, sender_schema, strict).ok
+    root: Node = getattr(document_or_node, "root", document_or_node)
+    return InstanceChecker(schema, sender_schema).ok(root, strict)
+
+
+def _is_forest_instance(forest, function_name, side, schema, sender_schema):
+    checker = InstanceChecker(schema, sender_schema)
+    signature = checker.signature_of(function_name)
+    if signature is None:
+        return False
+    return checker.forest_ok(forest, getattr(signature, side))
 
 
 def is_input_instance(
@@ -274,17 +357,8 @@ def is_input_instance(
     word of ``tau_in(f)`` and every parameter tree must itself be an
     instance of the schema.
     """
-    from repro.doc.nodes import symbol_of
-
-    lookup = _signature_lookup(schema, sender_schema)
-    signature = lookup(function_name)
-    if signature is None:
-        return False
-    word = tuple(symbol_of(tree) for tree in forest)
-    if not word_matches(word, signature.input_type, schema, sender_schema):
-        return False
-    return all(
-        is_instance(tree, schema, sender_schema, strict=False) for tree in forest
+    return _is_forest_instance(
+        forest, function_name, "input_type", schema, sender_schema
     )
 
 
@@ -299,15 +373,6 @@ def is_output_instance(
     Definition 3: the root symbols must form a word of ``tau_out(f)`` and
     every tree must itself be an instance of the schema.
     """
-    from repro.doc.nodes import symbol_of
-
-    lookup = _signature_lookup(schema, sender_schema)
-    signature = lookup(function_name)
-    if signature is None:
-        return False
-    word = tuple(symbol_of(tree) for tree in forest)
-    if not word_matches(word, signature.output_type, schema, sender_schema):
-        return False
-    return all(
-        is_instance(tree, schema, sender_schema, strict=False) for tree in forest
+    return _is_forest_instance(
+        forest, function_name, "output_type", schema, sender_schema
     )

@@ -54,10 +54,10 @@ from repro.doc.nodes import (
 from repro.doc.xml_io import _declare_int_ns
 from repro.errors import RewriteError, SchemaError
 from repro.obs import context as obs
-from repro.regex.ast import Regex
+from repro.obs.metrics import record_work
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
 from repro.rewriting.plan import InvocationLog
-from repro.schema.validate import validate, word_matches
+from repro.schema.validate import InstanceChecker
 from repro.stream.builder import Frame, TreeBuilder
 from repro.stream.parser import iter_events
 from repro.stream.seal import SealedElement
@@ -109,11 +109,17 @@ class _StreamDriver(TreeBuilder):
     """TreeBuilder subclass running close-time enforcement + emission."""
 
     def __init__(
-        self, engine: RewriteEngine, invoker, write: Callable[[str], None]
+        self,
+        engine: RewriteEngine,
+        invoker,
+        write: Callable[[str], None],
+        checker: InstanceChecker,
     ):
         super().__init__()
         self.engine = engine
         self.invoker = invoker
+        self.checker = checker
+        self.words_checked = 0
         self.log = InvocationLog()
         self.stats = {"words": 0, "product": 0, "mode": SAFE}
         self.writer = LineWriter(write)
@@ -122,27 +128,6 @@ class _StreamDriver(TreeBuilder):
         self.peak_depth = 0
         self.peak_buffered = 0
         self._just_streamed = False  # last closed child's bytes already out
-
-    # -- conformance tracking (mirrors schema.validate, incrementally) -----
-
-    def _check_word_conformance(
-        self, word: Tuple[str, ...], content: Regex
-    ) -> None:
-        if not self.conformant:
-            return
-        if not word_matches(
-            word, content, self.engine.target_schema, self.engine.sender_schema
-        ):
-            self.conformant = False
-
-    def _check_call_conformance(self, node: FunctionCall) -> None:
-        if not self.conformant:
-            return
-        report = validate(
-            node, self.engine.target_schema, self.engine.sender_schema
-        )
-        if not report.ok:
-            self.conformant = False
 
     # -- TreeBuilder hooks -------------------------------------------------
 
@@ -173,15 +158,19 @@ class _StreamDriver(TreeBuilder):
                 "element label %r is not declared by the target schema"
                 % frame.label
             )
-        word = tuple(symbol_of(child) for child in frame.children)
-        self._check_word_conformance(word, content)
+        checker = self.checker
+        if self.conformant:
+            # Conformance of the original document, tracked as it closes.
+            self.words_checked += 1
+            self.conformant = checker.word_ok(
+                tuple(map(symbol_of, frame.children)), content
+            )
         rewritten = engine.rewrite_forest(
             frame.children, content, self.invoker, self.log, self.stats
         )
         new_word = tuple(symbol_of(child) for child in rewritten)
-        if not word_matches(
-            new_word, content, engine.target_schema, engine.sender_schema
-        ):
+        self.words_checked += 1
+        if not checker.word_ok(new_word, content):
             raise RewriteError(
                 "rewriting produced a non-conformant document: "
                 "children word %s does not match %s"
@@ -198,8 +187,8 @@ class _StreamDriver(TreeBuilder):
         return SealedElement(frame.label, (), attributes, chunk)
 
     def child_closed(self, node: Node) -> None:
-        if isinstance(node, FunctionCall):
-            self._check_call_conformance(node)
+        if self.conformant and isinstance(node, FunctionCall):
+            self.conformant = self.checker.ok(node)
         if not self.states:
             self._finish_root(node)
             return
@@ -331,13 +320,24 @@ def stream_rewrite(
     errors when the guarantee cannot be met); on error the sink holds a
     partial prefix that must be discarded.
     """
+    checker = InstanceChecker(
+        engine.target_schema, engine.sender_schema, engine.compile_cache
+    )
+    return _stream_rewrite(engine, source, invoker, write, checker)
+
+
+def _stream_rewrite(
+    engine: RewriteEngine, source, invoker, write, checker: InstanceChecker
+) -> StreamResult:
+    """:func:`stream_rewrite` checking through ``checker`` (an
+    enforcer's, so a pass compiles nothing)."""
     if engine.mode == POSSIBLE:
         raise ValueError(
             "streaming enforcement supports safe/auto modes only: "
             "possible-mode execution may invoke services on conformant "
             "words, diverging from the DOM path"
         )
-    driver = _StreamDriver(engine, invoker, write)
+    driver = _StreamDriver(engine, invoker, write, checker)
     hits_before, misses_before = engine.cache_stats
     with obs.tracer().span(
         "document", mode=engine.mode, k=engine.k, stream=True
@@ -365,6 +365,7 @@ def stream_rewrite(
             conformant=result.already_conformant,
         )
     metrics = obs.metrics()
+    record_work(metrics, "check", {"words": driver.words_checked})
     if metrics.enabled:
         metrics.counter(
             "repro_documents_rewritten_total", "Documents rewritten"

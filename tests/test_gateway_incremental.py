@@ -291,3 +291,40 @@ class TestSessionEviction:
             assert stats["sessions"]["evicted"] == 0
         finally:
             harness.stop()
+
+
+class TestDeepDocuments:
+    def test_opening_a_deep_document_is_accepted(self):
+        # A 3,000-deep conformant document (~21 KB of edit-script open)
+        # gets a reply instead of a dropped connection.
+        from repro.schema import SchemaBuilder
+        from repro.xschema.writer import schema_to_xschema
+
+        xsd = schema_to_xschema(
+            SchemaBuilder().element("a", "a?").root("a").build()
+        )
+        depth = 3000
+        document_xml = "<a>" * depth + "</a>" * depth
+        harness = GatewayThread(GatewayConfig())
+        harness.start()
+        try:
+            async def go():
+                client = GatewayClient(harness.host, harness.port)
+                try:
+                    for name in ("deep-sender", "deep-receiver"):
+                        reply = await client.register_peer(name, xsd)
+                        assert reply.status == 201, reply.body
+                    return await client.open_session(
+                        "deep-sender", "deep-receiver", "deep-doc",
+                        document_xml,
+                    )
+                finally:
+                    await client.close()
+
+            opened = run(go())
+            assert opened.status == 200, opened.body
+            payload = opened.json()
+            assert payload["accepted"] is True
+            assert payload["reuse"]["verify_checked"] == depth
+        finally:
+            harness.stop()

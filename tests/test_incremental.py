@@ -378,3 +378,30 @@ class TestReuseIntrospection:
         assert 'repro_incremental_nodes_total{outcome="reused"}' in text
         assert 'repro_incremental_passes_total{outcome="ok"}' in text
         assert "repro_incremental_edits_total 1" in text
+
+
+def deep_chain(depth):
+    """``<a><a>…</a></a>``, ``depth`` elements deep."""
+    node = el("a")
+    for _ in range(depth - 1):
+        node = el("a", node)
+    return Document(node)
+
+
+class TestDeepDocuments:
+    def test_session_verifies_a_deep_conformant_document(self):
+        # Normalization and the conformance memo walk iteratively, so a
+        # session accepts what enforce_document and enforce_stream do.
+        from repro.schema import SchemaBuilder
+
+        schema = SchemaBuilder().element("a", "a?").root("a").build()
+        enforcer = SchemaEnforcer(schema, compile_cache=CompilationCache())
+        document = deep_chain(1500)
+        session = enforcer.session(document, lambda fc: ())
+        outcome = session.enforce()
+        full = enforcer.enforce_document(document, lambda fc: ())
+        assert outcome.ok and outcome.already_conformant
+        assert outcome.receipt() == full_receipt(full)
+        assert (outcome.verify_checked, outcome.verify_reused) == (1500, 0)
+        again = session.enforce()
+        assert (again.verify_checked, again.verify_reused) == (0, 1)
