@@ -117,35 +117,72 @@ def sample_word(
     (default 1.0 each); the instance generator uses it to bias documents
     toward — or away from — intensional content.
 
-    Raises ValueError when the language is empty.
+    Raises ValueError when the language is empty.  Callers that sample
+    one DFA many times keep its :class:`WordSampler` instead.
     """
-    if is_empty(dfa):
-        raise ValueError("cannot sample from an empty language")
-    distance = _distance_to_accepting(dfa)
-    word: List[str] = []
-    state = dfa.initial
-    while True:
-        if state in dfa.accepting and (
-            len(word) >= max_length or rng.random() < stop_probability
-        ):
-            return tuple(word)
-        viable = [
-            (symbol, target)
-            for symbol, target in sorted(dfa.transitions.get(state, {}).items())
-            if distance.get(target) is not None
-        ]
-        if not viable:
-            return tuple(word)  # accepting with no live successors
-        if len(word) >= max_length:
-            # Head straight for the closest accepting state.
-            viable.sort(key=lambda item: distance[item[1]])
-            symbol, state = viable[0]
-        elif weight is None:
-            symbol, state = rng.choice(viable)
-        else:
-            weights = [max(1e-9, float(weight(s))) for s, _t in viable]
-            symbol, state = rng.choices(viable, weights=weights, k=1)[0]
-        word.append(symbol)
+    return WordSampler(dfa).sample(rng, stop_probability, max_length, weight)
+
+
+class WordSampler:
+    """A DFA prepared for repeated :func:`sample_word` walks.
+
+    The distance-to-accepting table, each state's viable moves (sorted by
+    symbol, dead ends dropped) and its closest-to-accepting move are
+    computed once; :meth:`sample` then only draws from the RNG, making
+    exactly the draws :func:`sample_word` makes.  Immutable after
+    construction, so one sampler may serve many threads.
+    """
+
+    __slots__ = ("initial", "accepting", "empty", "moves", "closest")
+
+    def __init__(self, dfa: DFA):
+        distance = _distance_to_accepting(dfa)
+        self.initial = dfa.initial
+        self.accepting = dfa.accepting
+        self.empty = distance.get(dfa.initial) is None
+        self.moves = {}
+        self.closest = {}
+        for state, row in dfa.transitions.items():
+            viable = tuple(
+                (symbol, target)
+                for symbol, target in sorted(row.items())
+                if distance.get(target) is not None
+            )
+            if viable:
+                self.moves[state] = viable
+                self.closest[state] = min(
+                    viable, key=lambda item: distance[item[1]]
+                )
+
+    def sample(
+        self,
+        rng: random.Random,
+        stop_probability: float = 0.4,
+        max_length: int = 24,
+        weight=None,
+    ) -> Tuple[str, ...]:
+        """One accepted word; see :func:`sample_word`."""
+        if self.empty:
+            raise ValueError("cannot sample from an empty language")
+        word: List[str] = []
+        state = self.initial
+        while True:
+            if state in self.accepting and (
+                len(word) >= max_length or rng.random() < stop_probability
+            ):
+                return tuple(word)
+            viable = self.moves.get(state)
+            if viable is None:
+                return tuple(word)  # accepting with no live successors
+            if len(word) >= max_length:
+                # Head straight for the closest accepting state.
+                symbol, state = self.closest[state]
+            elif weight is None:
+                symbol, state = rng.choice(viable)
+            else:
+                weights = [max(1e-9, float(weight(s))) for s, _t in viable]
+                symbol, state = rng.choices(viable, weights=weights, k=1)[0]
+            word.append(symbol)
 
 
 def _distance_to_accepting(dfa: DFA) -> dict:

@@ -55,6 +55,7 @@ from repro.schema.model import Schema
 from repro.schema.validate import validate
 from repro.schemarewrite.compat import schema_safely_rewrites
 from repro.services.resilience import ResiliencePolicy, ResilientInvoker
+from repro.services.responders import sampling_invoker
 from repro.xschema.compile import compile_xschema
 from repro.xschema.parser import parse_xschema
 
@@ -91,6 +92,8 @@ def _sampling_invoker(schema: Schema, seed: int, per_call: bool = False):
     scheduling — which is what makes ``rewrite --workers N``
     deterministic and output-identical at any worker count.
     """
+    if per_call:
+        return sampling_invoker(schema, seed)
     generator = InstanceGenerator(schema, random.Random(seed), max_depth=4)
 
     def invoker(fc):
@@ -98,13 +101,6 @@ def _sampling_invoker(schema: Schema, seed: int, per_call: bool = False):
             raise ReproError(
                 "no signature for %r in the sender schema" % fc.name
             )
-        if per_call:
-            from repro.exec.fingerprint import call_fingerprint
-
-            rng = random.Random("%s|%s" % (seed, call_fingerprint(fc)))
-            return InstanceGenerator(
-                schema, rng, max_depth=4
-            ).output_forest(fc.name)
         return generator.output_forest(fc.name)
 
     return invoker

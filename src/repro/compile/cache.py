@@ -173,10 +173,6 @@ class CompilationCache:
         """A cheap, exact dictionary key standing for a regex."""
         return self.digest(r)
 
-    def word_key(self, word: Tuple[str, ...]) -> str:
-        """A cheap, exact dictionary key standing for a children word."""
-        return word_digest(word)
-
     def alphabet_key(self, alphabet: Alphabet) -> str:
         with self._lock:
             digest = self._alphabet_digests.get(alphabet.symbols)
@@ -447,9 +443,6 @@ class NullCompilationCache:
 
     def regex_key(self, r: Regex):
         return r
-
-    def word_key(self, word: Tuple[str, ...]):
-        return word
 
     def nfa(self, r: Regex) -> NFA:
         return glushkov_nfa(r)

@@ -54,7 +54,6 @@ from repro.conformance.fuzzer import (
     fuzz_document_scenario,
     fuzz_edit_scenario,
     fuzz_word_scenario,
-    per_call_invoker,
 )
 from repro.conformance.reference import (
     ReferenceVerdict,
@@ -83,7 +82,6 @@ __all__ = [
     "fuzz_word_scenario",
     "load_entry",
     "output_language_bound",
-    "per_call_invoker",
     "reference_can_rewrite",
     "reference_possible",
     "reference_safe",

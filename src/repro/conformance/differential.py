@@ -38,7 +38,6 @@ from repro.conformance.fuzzer import (
     fuzz_document_scenario,
     fuzz_edit_scenario,
     fuzz_word_scenario,
-    per_call_invoker,
 )
 from repro.conformance.reference import (
     reference_possible,
@@ -51,6 +50,7 @@ from repro.rewriting.lazy import analyze_safe_lazy
 from repro.rewriting.possible import analyze_possible
 from repro.rewriting.safe import analyze_safe
 from repro.services.resilience import ResiliencePolicy, ResilientInvoker
+from repro.services.responders import sampling_invoker
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,7 @@ def run_config(
         dedup=True,
         compile_cache=_compile_cache_for(config),
     )
-    invoker = per_call_invoker(scenario.sender_schema, scenario.invoker_seed)
+    invoker = sampling_invoker(scenario.sender_schema, scenario.invoker_seed)
     if config.resilient:
         if scenario.flaky_period:
             invoker = _flaky_invoker(
@@ -440,7 +440,7 @@ def _edit_invoker(scenario: DocumentScenario, config: EngineConfig):
     fresh per run so the session and every full reference pass observe
     identical service behavior.
     """
-    invoker = per_call_invoker(scenario.sender_schema, scenario.invoker_seed)
+    invoker = sampling_invoker(scenario.sender_schema, scenario.invoker_seed)
     if config.resilient:
         if scenario.flaky_period:
             invoker = _flaky_invoker(

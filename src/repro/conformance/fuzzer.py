@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.doc.document import Document
-from repro.exec.fingerprint import call_fingerprint
 from repro.regex.ast import Regex, alt, atom, opt, seq, star
 from repro.schema.generator import InstanceGenerator
 from repro.schema.model import Schema, SchemaBuilder
@@ -154,25 +153,6 @@ class DocumentScenario:
 
     def with_document(self, document: Document) -> "DocumentScenario":
         return replace(self, document=document)
-
-
-def per_call_invoker(schema: Schema, seed: int):
-    """Simulated services answering from per-call-seeded sampling.
-
-    Each call's output is an instance of its declared output type drawn
-    from ``random.Random((seed, fingerprint))`` — independent of
-    invocation order, so sequential and concurrent runs (and retries)
-    observe byte-identical service answers.  This mirrors the CLI's
-    ``rewrite --workers N`` sampling responder.
-    """
-
-    def invoker(fc):
-        rng = random.Random("%s|%s" % (seed, call_fingerprint(fc)))
-        return InstanceGenerator(schema, rng, max_depth=4).output_forest(
-            fc.name
-        )
-
-    return invoker
 
 
 def _random_output_type(rng: random.Random, leaves: List[str],

@@ -2,11 +2,12 @@
 
 The gateway, like the CLI, has no live SOAP providers behind it: calls
 are served by **per-call seeded sampling** from the sender's declared
-signatures — each call's output is drawn from an RNG derived from
-``(seed, call fingerprint)``, so results depend on *content*, never on
-scheduling order or worker count.  That is the property the load
-benchmark leans on when it checks gateway responses byte-identical
-against the direct library path.
+signatures (:func:`~repro.services.responders.sampling_invoker`) — each
+call's output is drawn from an RNG derived from ``(seed, call
+fingerprint)``, so results depend on *content*, never on scheduling
+order or worker count.  That is the property the load benchmark leans
+on when it checks gateway responses byte-identical against the direct
+library path.
 
 A per-request deadline is enforced by :func:`deadline_guard`: the
 wrapper re-checks the budget before every materialization, so a request
@@ -16,41 +17,16 @@ instead of burning the worker until completion.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.doc.nodes import FunctionCall, Node
-from repro.errors import ReproError
-from repro.exec.fingerprint import call_fingerprint
 from repro.gateway.errors import DeadlineExceededError
-from repro.schema.generator import InstanceGenerator
-from repro.schema.model import Schema
+from repro.services.responders import sampling_invoker
+
+__all__ = ["Invoker", "deadline_guard", "delayed", "sampling_invoker"]
 
 #: ``FunctionCall -> forest``, same contract as the whole stack.
 Invoker = Callable[[FunctionCall], Sequence[Node]]
-
-
-def sampling_invoker(schema: Schema, seed: int,
-                     max_depth: int = 4) -> Invoker:
-    """Serve calls by sampling output instances of declared signatures.
-
-    Deterministic per logical call at any concurrency: the RNG is
-    re-derived from ``(seed, call fingerprint)`` for every invocation
-    (string seeding hashes deterministically, unlike ``hash()``).
-    """
-
-    def invoker(call: FunctionCall) -> Tuple[Node, ...]:
-        if schema.output_type(call.name) is None:
-            raise ReproError(
-                "no signature for %r in the sender schema" % call.name
-            )
-        rng = random.Random("%s|%s" % (seed, call_fingerprint(call)))
-        return tuple(
-            InstanceGenerator(schema, rng, max_depth=max_depth)
-            .output_forest(call.name)
-        )
-
-    return invoker
 
 
 def deadline_guard(

@@ -28,11 +28,11 @@ full-document cost the session exists to avoid.
 
 Byte-identity with full re-enforcement holds for *per-call-deterministic*
 invokers (each call's answer a pure function of the call — the
-conformance fuzzer's :func:`~repro.conformance.fuzzer.per_call_invoker`,
-the gateway's sampling invoker).  For stateful invokers the session's
-semantics are "prior materializations are reused", which is the useful
-behavior for subscription traffic but no longer bit-comparable to a
-fresh run.  The differential edit fuzzer
+per-call seeded :func:`~repro.services.responders.sampling_invoker` the
+gateway and the conformance fuzzer serve calls with).  For stateful
+invokers the session's semantics are "prior materializations are
+reused", which is the useful behavior for subscription traffic but no
+longer bit-comparable to a fresh run.  The differential edit fuzzer
 (:func:`repro.conformance.differential.run_edit_scenario`) holds the
 byte-identity contract down across the engine configuration matrix.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.compile.cache import CompilationCache
 from repro.doc.document import Document
@@ -91,6 +91,16 @@ class _IdentityMemo:
 
     def put(self, node: Node, value) -> None:
         self._entries[id(node)] = (node, value)
+
+    def retain(self, live: Set[int]) -> None:
+        """Drop every entry whose node is not in ``live`` (node ids).
+
+        An entry keeps its node alive, so a live node's id cannot belong
+        to another entry: keeping the ids in ``live`` is exact.
+        """
+        self._entries = {
+            key: entry for key, entry in self._entries.items() if key in live
+        }
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -180,6 +190,10 @@ class CachingInvoker:
         clock = getattr(invoker, "clock", None)
         if clock is not None:
             self.clock = clock
+
+    def cached(self, fc: FunctionCall) -> Optional[Tuple[Node, ...]]:
+        """The memoized answer to a call, if it was ever performed."""
+        return self._memo.get(call_fingerprint(fc))
 
     def __call__(self, fc: FunctionCall) -> Tuple[Node, ...]:
         key = call_fingerprint(fc)
@@ -429,6 +443,8 @@ class EnforcementSession:
         self.last_outcome: Optional[IncrementalOutcome] = None
         self.edits_applied = 0
         self.passes = 0
+        #: Live nodes counted by the last memo sweep (see :meth:`_sweep`).
+        self.live_nodes = 0
 
     # -- the passes -----------------------------------------------------
 
@@ -447,6 +463,9 @@ class EnforcementSession:
         self.passes += 1
         self.last_outcome = outcome
         self.enforced = outcome.document
+        memo_size = max(len(self._engine._memo), len(self._verify._memo))
+        if memo_size > 2 * self.live_nodes:
+            self._sweep()
         self._metrics(outcome)
         return outcome
 
@@ -552,16 +571,64 @@ class EnforcementSession:
         inverse, self.last_inverse = self.last_inverse, ()
         return self.apply(inverse)
 
+    # -- bounded memos ---------------------------------------------------
+
+    def live_ids(self) -> Set[int]:
+        """Identities of every node a later pass or :meth:`undo` can
+        look up in the memos.
+
+        The live trees are the source document, the enforced document and
+        the source :meth:`undo` would produce (which holds
+        ``last_inverse``'s payload; an undone ``update-call`` rebuilds
+        its call around the old parameters).  A call among them also
+        makes its memoized answer live — a pass that invokes the call
+        again re-descends that same forest — recursively.
+        """
+        roots: List[Node] = [self.document.root]
+        if self.enforced is not None:
+            roots.append(self.enforced.root)
+        if self.last_inverse:
+            roots.append(apply_edits(self.document, self.last_inverse)[0].root)
+        live: Set[int] = set()
+        stack = roots
+        while stack:
+            node = stack.pop()
+            if id(node) in live:
+                continue
+            live.add(id(node))
+            stack.extend(children_of(node))
+            if isinstance(node, FunctionCall):
+                stack.extend(self._invoker.cached(node) or ())
+        return live
+
+    def _sweep(self) -> None:
+        """Drop memo entries for nodes no live tree holds any more.
+
+        Each edit leaves the replaced spine's entries behind; without a
+        sweep they would keep every replaced spine alive for the
+        session's lifetime.  The pass that finds a memo holding more
+        than twice the nodes counted at the last sweep walks the live
+        trees (:meth:`live_ids`) once and keeps only their entries —
+        every entry a normal pass or :meth:`undo` can consult — so reuse
+        counters are unchanged and the walk costs O(1) per memo entry
+        created, amortized.
+        """
+        live = self.live_ids()
+        self.live_nodes = len(live)
+        self._engine._memo.retain(live)
+        self._verify._memo.retain(live)
+
     def cache_snapshot(self) -> Dict[Tuple[int, ...], str]:
         """A canonical view of the cached state *reachable* from the
         current source document: path → digest of the memoized subtree
         result.
 
-        Stale spine entries for trees no longer referenced do linger in
-        the raw memo (they are garbage, never consulted), so state
-        equality after edit + inverse is asserted on this reachable
-        view — which also proves the session would do zero rewriting
-        work beyond the spine on its next pass.
+        The raw memo may also hold entries for the enforced document,
+        for ``last_inverse``'s payload, for memoized service answers and
+        — until the next sweep (:meth:`_sweep`) — for replaced spines,
+        so state equality after edit + inverse is asserted on this
+        reachable view — which also proves the session would do zero
+        rewriting work beyond the spine on its next pass.
         """
         import hashlib
 

@@ -282,14 +282,9 @@ class RewriteEngine:
             return None
         try:
             target = self._desugared(target, word)
-            output_types, invocable = self._word_problem(word)
-            cc = self._ccache()
             return self._cached(
                 "safe", word, target, frozenset(),
-                lambda: (analyze_safe_lazy if self.lazy else analyze_safe)(
-                    word, output_types, target, self.k, invocable,
-                    compile_cache=cc,
-                ),
+                self._safe_solver(word, target, frozenset()),
             )
         except Exception:
             # Planning must be harmless: a word the driver would reject
@@ -415,9 +410,13 @@ class RewriteEngine:
         stats["words"] += 1
         dead = stats.setdefault("dead", set())
         tracer = obs.tracer()
-        with tracer.span(
-            "node", word=".".join(word) or "eps", length=len(word)
-        ) as span:
+        if tracer.enabled:
+            span_context = tracer.span(
+                "node", word=".".join(word) or "eps", length=len(word)
+            )
+        else:
+            span_context = tracer.span("node")
+        with span_context as span:
             while True:
                 try:
                     result = self._rewrite_word_once(
@@ -447,20 +446,23 @@ class RewriteEngine:
         stats,
         dead,
     ) -> Tuple[Node, ...]:
-        """One analyze-and-execute pass over a children word."""
-        output_types, invocable = self._word_problem(word, dead)
-        cc = self._ccache()
+        """One analyze-and-execute pass over a children word.
 
+        A warm word costs one analysis-cache probe.  When the solved
+        analysis attached no signature copy, nothing can be invoked: the
+        product path is the word's own path, ``exists`` says it ends
+        unmarked, and the strategy would return the children unchanged,
+        so the walk is skipped.
+        """
         if self.mode in (SAFE, AUTO):
             analysis = self._cached(
                 "safe", word, target, dead,
-                lambda: (analyze_safe_lazy if self.lazy else analyze_safe)(
-                    word, output_types, target, self.k, invocable,
-                    compile_cache=cc,
-                ),
+                self._safe_solver(word, target, dead),
             )
             stats["product"] += analysis.stats.product_nodes
             if analysis.exists:
+                if not analysis.expansion.copies:
+                    return children
                 new_children, _ = execute_safe(
                     analysis, children, invoker, log, self.cost_model.cost_of
                 )
@@ -472,11 +474,12 @@ class RewriteEngine:
                 )
             stats["mode"] = POSSIBLE
 
-        analysis = self._cached(
-            "possible", word, target, dead,
-            lambda: analyze_possible(word, output_types, target, self.k,
-                                     invocable, compile_cache=cc),
-        )
+        def solve_possible():
+            output_types, invocable = self._word_problem(word, dead)
+            return analyze_possible(word, output_types, target, self.k,
+                                    invocable, compile_cache=self._ccache())
+
+        analysis = self._cached("possible", word, target, dead, solve_possible)
         stats["product"] += analysis.stats.product_nodes
         if not analysis.exists:
             raise NoPossibleRewritingError(
@@ -551,6 +554,17 @@ class RewriteEngine:
                 % (".".join(word) or "eps", self.k, target)
             )
 
+    def _safe_solver(self, word, target, dead):
+        """The compute closure of one safe analysis (run on a miss only)."""
+
+        def solve():
+            output_types, invocable = self._word_problem(word, dead)
+            analyze = analyze_safe_lazy if self.lazy else analyze_safe
+            return analyze(word, output_types, target, self.k, invocable,
+                           compile_cache=self._ccache())
+
+        return solve
+
     def _cached(self, kind: str, word, target, dead, compute):
         """Memoize a solved analysis by (kind, word, target, dead set).
 
@@ -559,17 +573,17 @@ class RewriteEngine:
         degradation state alone, so the key is exact.  Solved analyses
         are immutable after construction — execution only reads them.
 
-        The word and target enter the key through the compilation
-        cache's interned digests — O(1) per repeat lookup instead of
-        hashing a deep AST or a long word every time.  Digests are
-        content-exact, so hit/miss accounting is bit-identical to the
-        structural key (with caching disabled the key falls back to the
-        structural objects themselves).
+        The word enters the key as the tuple itself: strings cache their
+        hashes, so a repeat lookup costs one tuple hash and no digest.
+        The target enters through the compilation
+        cache's interned digest — O(1) per repeat lookup instead of
+        hashing a deep AST every time (with caching disabled the key
+        falls back to the structural regex itself).  Both are
+        content-exact, so hit/miss accounting is exact.
         """
         if not self.cache:
             return self._analyzed(kind, "off", compute)
-        cc = self._ccache()
-        key = (kind, cc.word_key(word), cc.regex_key(target), frozenset(dead))
+        key = (kind, word, self._ccache().regex_key(target), frozenset(dead))
         with self._cache_lock:
             analysis = self._analysis_cache.get(key)
             if analysis is None:

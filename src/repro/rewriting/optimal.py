@@ -33,6 +33,7 @@ from repro.rewriting.safe import (
     Invoker,
     PNode,
     SafeAnalysis,
+    _answer_lookahead,
     alternatives,
 )
 
@@ -148,7 +149,8 @@ def execute_safe_optimal(
     return tuple(out), log
 
 
-def _consume(analysis, values, node, child, out, invoker, log, cost_of, depth):
+def _consume(analysis, values, node, child, out, invoker, log, cost_of, depth,
+             targets=None):
     from repro.automata.symbols import class_matches
 
     expansion = analysis.expansion
@@ -157,6 +159,7 @@ def _consume(analysis, values, node, child, out, invoker, log, cost_of, depth):
     candidates = [
         edge for edge in expansion.edges_from(q)
         if edge.kind == "symbol" and class_matches(edge.guard, symbol)
+        and (targets is None or edge.target in targets)
     ]
     if not candidates:
         raise RewriteExecutionError(
@@ -185,9 +188,13 @@ def _consume(analysis, values, node, child, out, invoker, log, cost_of, depth):
         log.add(child.name, depth,
                 tuple(symbol_of(t) for t in forest), cost_of(child.name))
         inner = (invoke_edge.target, p)
-        for tree in forest:
+        lookahead = _answer_lookahead(
+            expansion, copy, inner[0], [symbol_of(tree) for tree in forest]
+        )
+        for position, tree in enumerate(forest):
+            targets = None if lookahead is None else lookahead[position]
             inner = _consume(analysis, values, inner, tree, out, invoker,
-                             log, cost_of, depth + 1)
+                             log, cost_of, depth + 1, targets)
         return_edge_id = copy.return_edges.get(inner[0])
         if return_edge_id is None:
             raise RewriteExecutionError(

@@ -39,7 +39,7 @@ from repro.doc.nodes import FunctionCall, Node, symbol_of
 from repro.errors import NoSafeRewritingError, RewriteExecutionError, ServiceFault
 from repro.regex.ast import Regex
 from repro.rewriting.bitgame import solve_safe
-from repro.rewriting.expansion import Edge, Expansion
+from repro.rewriting.expansion import CopyInfo, Edge, Expansion
 from repro.rewriting.plan import (
     DEPENDS,
     INVOKE,
@@ -336,13 +336,19 @@ def _consume(
     log: InvocationLog,
     cost_of: Callable[[str], float],
     depth: int,
+    targets: Optional[Set[int]] = None,
 ) -> PNode:
-    """Consume one actual child under the strategy; returns the new node."""
+    """Consume one actual child under the strategy; returns the new node.
+
+    ``targets`` (inside a signature copy) restricts the consumed edge to
+    targets from which the rest of the answer can still reach a return
+    edge; see :func:`_answer_lookahead`.
+    """
     expansion = analysis.expansion
     symbol = symbol_of(child)
     q, p = node
 
-    edge = _matching_edge(analysis, node, symbol)
+    edge = _matching_edge(analysis, node, symbol, targets)
     if isinstance(child, FunctionCall) and edge.invoke_edge is not None:
         if analysis.decision(node, edge) == KEEP:
             out.append(child)
@@ -370,9 +376,13 @@ def _consume(
         inner: PNode = (invoke_edge.target, p)
         if analysis.is_marked(inner):
             raise AssertionError("invoke option led to a marked state")
-        for tree in forest:
+        lookahead = _answer_lookahead(
+            expansion, copy, inner[0], [symbol_of(tree) for tree in forest]
+        )
+        for position, tree in enumerate(forest):
             inner = _consume(
-                analysis, inner, tree, out, invoker, log, cost_of, depth + 1
+                analysis, inner, tree, out, invoker, log, cost_of, depth + 1,
+                None if lookahead is None else lookahead[position],
             )
         return_edge_id = copy.return_edges.get(inner[0])
         if return_edge_id is None:
@@ -397,13 +407,57 @@ def _consume(
     return successor
 
 
-def _matching_edge(analysis: SafeAnalysis, node: PNode, symbol: str) -> Edge:
+def _answer_lookahead(
+    expansion: Expansion, copy: CopyInfo, entry: int, symbols: Sequence[str]
+) -> Optional[List[Set[int]]]:
+    """Which copy states each root symbol of an answer may lead to.
+
+    One forward pass collects the copy's symbol edges the answer's root
+    symbols can take from the copy entry; one backward pass keeps, per
+    position, the targets from which the rest of the answer still
+    reaches a state with a return edge.  (A nested call is consumed on
+    its own call edge whether it is kept or invoked — an invocation
+    comes back to that edge's target — so root symbols alone decide the
+    path.)  An ambiguous output type such as ``b*.b`` has two ``b``
+    edges out of a state, and only this lookahead tells which one the
+    rest of the answer completes.  Returns None when the answer cannot
+    complete the type at all; the walk then reports the violation.
+    """
+    layers: List[List[Edge]] = []
+    frontier = {entry}
+    for symbol in symbols:
+        step = [
+            edge
+            for state in frontier
+            for edge in expansion.edges_from(state)
+            if edge.kind == "symbol" and class_matches(edge.guard, symbol)
+        ]
+        layers.append(step)
+        frontier = {edge.target for edge in step}
+    reaching = frontier & set(copy.return_edges)
+    viable: List[Set[int]] = []
+    for step in reversed(layers):
+        viable.append(reaching)
+        reaching = {edge.source for edge in step if edge.target in reaching}
+    if entry not in reaching:
+        return None
+    viable.reverse()
+    return viable
+
+
+def _matching_edge(
+    analysis: SafeAnalysis,
+    node: PNode,
+    symbol: str,
+    targets: Optional[Set[int]] = None,
+) -> Edge:
     """The expansion edge consuming ``symbol`` at this node.
 
     With one-unambiguous types there is exactly one; with ambiguous types
     any unmarked-successor candidate is safe to follow (an unmarked node
     has no all-bad alternative, and each candidate is its own
-    single-option alternative).
+    single-option alternative), as long as the rest of the answer can
+    still leave the copy: ``targets`` keeps only such edges.
     """
     expansion = analysis.expansion
     q, p = node
@@ -411,6 +465,7 @@ def _matching_edge(analysis: SafeAnalysis, node: PNode, symbol: str) -> Edge:
         edge
         for edge in expansion.edges_from(q)
         if edge.kind == "symbol" and class_matches(edge.guard, symbol)
+        and (targets is None or edge.target in targets)
     ]
     if not candidates:
         raise RewriteExecutionError(

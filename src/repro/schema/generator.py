@@ -21,7 +21,7 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.ops import regex_to_dfa, sample_word
+from repro.automata.ops import WordSampler, regex_to_dfa
 from repro.automata.symbols import DATA, OTHER, Alphabet
 from repro.doc.document import Document
 from repro.doc.nodes import Element, FunctionCall, Node, Text
@@ -151,6 +151,62 @@ def min_instance_sizes(schema: Schema) -> Dict[str, float]:
     return sizes
 
 
+class SchemaSampler:
+    """The schema-constant half of instance generation, compiled once.
+
+    Holds the minimal-instance-size fixpoint, the schema's closed
+    alphabet, its callable names and a memo of one :class:`WordSampler`
+    per content model (its ``regex_to_dfa`` plus distance table), so a
+    generator built from it (:meth:`generator`) only draws from its RNG.
+    The memo is keyed by expression identity (the schema's content
+    models are fixed objects); its values are deterministic, so a
+    racing duplicate build is harmless and many threads may share one
+    sampler while each call keeps its own generator and RNG.
+    """
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self.sizes = min_instance_sizes(schema)
+        self.alphabet = Alphabet.closure(schema.alphabet_symbols())
+        self.callable_names = frozenset(schema.functions) | frozenset(
+            schema.patterns
+        )
+        self._samplers: Dict[int, Tuple[Regex, WordSampler]] = {}
+
+    def generator(
+        self, rng: random.Random, max_depth: int = 8
+    ) -> "InstanceGenerator":
+        """An :class:`InstanceGenerator` drawing from ``rng`` over this
+        sampler's compiled state."""
+        return InstanceGenerator(self.schema, rng, max_depth, sampler=self)
+
+    def word_sampler(self, expr: Regex) -> WordSampler:
+        """The memoized sampler of one content model's words."""
+        entry = self._samplers.get(id(expr))
+        if entry is not None:
+            return entry[1]
+        sampler = WordSampler(
+            regex_to_dfa(self._desugared(expr), self.alphabet)
+        )
+        # The entry pins ``expr``, so its id cannot be reused meanwhile.
+        return self._samplers.setdefault(id(expr), (expr, sampler))[1]
+
+    def _desugared(self, expr: Regex) -> Regex:
+        """Expand pattern atoms to declared candidate functions."""
+        from repro.regex.ast import alt, atom
+        from repro.schema.model import _substitute
+
+        expansion = {}
+        for pattern in self.schema.patterns.values():
+            matching = sorted(
+                name
+                for name, sig in self.schema.functions.items()
+                if pattern.admits(name, sig)
+            )
+            expansion[pattern.name] = alt(*(atom(n) for n in matching))
+        return _substitute(expr, expansion)
+
+
 class InstanceGenerator:
     """Seeded generator of schema instances.
 
@@ -164,6 +220,8 @@ class InstanceGenerator:
         function_probability: when a sampled word offers both a function
             and a data alternative this biases nothing by itself — it is
             used when *choosing* candidates for pattern atoms.
+        sampler: the schema's compiled :class:`SchemaSampler` to share;
+            None compiles a private one.
     """
 
     def __init__(
@@ -172,6 +230,7 @@ class InstanceGenerator:
         rng: Optional[random.Random] = None,
         max_depth: int = 8,
         call_bias: float = 1.0,
+        sampler: Optional[SchemaSampler] = None,
     ):
         self.schema = schema
         self.rng = rng or random.Random(0)
@@ -181,12 +240,10 @@ class InstanceGenerator:
         #: toward materialized data, 0 avoids calls wherever a choice
         #: exists.
         self.call_bias = call_bias
-        self.sizes = min_instance_sizes(schema)
-        self._dfa_cache: Dict[Regex, object] = {}
-        self._alphabet = Alphabet.closure(schema.alphabet_symbols())
-        self._callable_names = frozenset(schema.functions) | frozenset(
-            schema.patterns
-        )
+        if sampler is None:
+            sampler = SchemaSampler(schema)
+        self._sampler = sampler
+        self.sizes = sampler.sizes
 
     # -- public API -----------------------------------------------------
 
@@ -233,32 +290,15 @@ class InstanceGenerator:
     def _sample_children_word(self, expr: Regex, depth: int) -> Sequence[str]:
         if depth >= self.max_depth:
             return cheapest_word(expr, self.sizes)
-        dfa = self._dfa_cache.get(expr)
-        if dfa is None:
-            dfa = regex_to_dfa(self._desugared(expr), self._alphabet)
-            self._dfa_cache[expr] = dfa
         weight = None
         if self.call_bias != 1.0:
+            callable_names = self._sampler.callable_names
+
             def weight(symbol: str) -> float:
-                if symbol in self._callable_names:
+                if symbol in callable_names:
                     return self.call_bias
                 return 1.0
-        return sample_word(dfa, self.rng, weight=weight)
-
-    def _desugared(self, expr: Regex) -> Regex:
-        """Expand pattern atoms to declared candidate functions."""
-        from repro.regex.ast import alt, atom
-        from repro.schema.model import _substitute
-
-        expansion = {}
-        for pattern in self.schema.patterns.values():
-            matching = sorted(
-                name
-                for name, sig in self.schema.functions.items()
-                if pattern.admits(name, sig)
-            )
-            expansion[pattern.name] = alt(*(atom(n) for n in matching))
-        return _substitute(expr, expansion)
+        return self._sampler.word_sampler(expr).sample(self.rng, weight=weight)
 
     def _node_for(self, symbol: str, depth: int) -> Node:
         if symbol == DATA:

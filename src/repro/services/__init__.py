@@ -30,6 +30,7 @@ from repro.services.responders import (
     flaky_responder,
     latency_responder,
     outage_responder,
+    sampling_invoker,
     sampling_responder,
     scripted_responder,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "encode_request",
     "decode_request",
     "sampling_responder",
+    "sampling_invoker",
     "adversarial_responder",
     "scripted_responder",
     "constant_responder",

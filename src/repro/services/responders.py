@@ -3,7 +3,8 @@
 The rewriting algorithms' guarantees are quantified over the outputs a
 service *may* return, so the simulator must be able to produce:
 
-- arbitrary type-conforming outputs (:func:`sampling_responder`, seeded),
+- arbitrary type-conforming outputs (:func:`sampling_responder`, seeded;
+  :func:`sampling_invoker` serves whole calls from per-call seeds),
 - the *adversarial* corner cases that separate safe from possible
   rewritings — e.g. a ``TimeOut`` that returns ``performance`` elements
   (:func:`adversarial_responder` picks outputs maximizing rejection),
@@ -20,10 +21,11 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.doc.nodes import Node
-from repro.errors import ServiceFault, TransientFault
+from repro.doc.nodes import FunctionCall, Node
+from repro.errors import ReproError, ServiceFault, TransientFault
+from repro.exec.fingerprint import call_fingerprint
 from repro.regex.ast import Regex
-from repro.schema.generator import InstanceGenerator
+from repro.schema.generator import InstanceGenerator, SchemaSampler
 from repro.schema.model import Schema
 from repro.services.service import Handler
 
@@ -85,6 +87,36 @@ def sampling_responder(
         return generator.output_forest(function_name)
 
     return handler
+
+
+def sampling_invoker(
+    schema: Schema, seed: int, max_depth: int = 4
+) -> Callable[[FunctionCall], Tuple[Node, ...]]:
+    """Serve calls by sampling output instances of declared signatures.
+
+    Deterministic per logical call at any concurrency: each call's
+    output is drawn from an RNG re-derived from ``(seed, call
+    fingerprint)`` (string seeding hashes deterministically, unlike
+    ``hash()``), so answers depend on content, never on invocation
+    order, worker count or retries.  The schema is compiled once into a
+    :class:`~repro.schema.generator.SchemaSampler` shared by every call
+    (scheduler threads included); a call only derives its RNG and draws.
+    This is the one per-call sampler behind the gateway, the CLI's
+    ``rewrite --workers N`` and ``--stream``, and the conformance fuzzer.
+    """
+    sampler = SchemaSampler(schema)
+
+    def invoker(call: FunctionCall) -> Tuple[Node, ...]:
+        if schema.output_type(call.name) is None:
+            raise ReproError(
+                "no signature for %r in the sender schema" % call.name
+            )
+        rng = random.Random("%s|%s" % (seed, call_fingerprint(call)))
+        return sampler.generator(rng, max_depth=max_depth).output_forest(
+            call.name
+        )
+
+    return invoker
 
 
 def adversarial_responder(

@@ -119,12 +119,10 @@ class TestInterning:
     def test_keys_are_digests(self):
         cc = CompilationCache()
         assert cc.regex_key(parse_regex("a")) == regex_digest(parse_regex("a"))
-        assert cc.word_key(("a", "b")) == word_digest(("a", "b"))
 
     def test_null_cache_keys_are_structural(self):
         expr = parse_regex("a")
         assert DISABLED.regex_key(expr) is expr
-        assert DISABLED.word_key(("a",)) == ("a",)
 
 
 class TestPipeline:

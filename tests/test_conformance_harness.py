@@ -33,7 +33,6 @@ from repro.conformance.fuzzer import (
     WordScenario,
     fuzz_document_scenario,
     fuzz_word_scenario,
-    per_call_invoker,
 )
 from repro.conformance.reference import (
     output_language_bound,
@@ -42,6 +41,7 @@ from repro.conformance.reference import (
     reference_safe,
 )
 from repro.regex.parser import parse_regex
+from repro.services.responders import sampling_invoker
 from repro.workloads import newspaper
 
 
@@ -162,9 +162,9 @@ class TestFuzzer:
             for expr in scenario.output_types.values():
                 assert output_language_bound(expr) is not None, seed
 
-    def test_per_call_invoker_is_order_independent(self):
+    def test_sampling_invoker_is_order_independent(self):
         scenario = fuzz_document_scenario(11)
-        invoker = per_call_invoker(scenario.sender_schema, 42)
+        invoker = sampling_invoker(scenario.sender_schema, 42)
         calls = [fc for _p, fc in scenario.document.function_nodes()]
         if not calls:
             pytest.skip("seed 11 generated no embedded calls")

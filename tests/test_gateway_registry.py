@@ -101,7 +101,8 @@ class TestPeerRegistry:
     def test_persisted_file_is_versioned_json(self, tmp_path):
         path = str(tmp_path / "peers.json")
         PeerRegistry(path).register(alice())
-        payload = json.loads(open(path, encoding="utf-8").read())
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         assert payload["magic"] == "repro-gateway-registry"
         assert payload["version"] == FORMAT_VERSION
         # No temp files left behind by the atomic write.

@@ -18,7 +18,7 @@ import pytest
 
 from repro.axml.enforcement import SchemaEnforcer
 from repro.compile.cache import CompilationCache
-from repro.conformance.fuzzer import fuzz_edit_scenario, per_call_invoker
+from repro.conformance.fuzzer import fuzz_edit_scenario
 from repro.doc.builder import call, el, text
 from repro.doc.document import Document
 from repro.doc.nodes import Element, Text
@@ -40,6 +40,7 @@ from repro.incremental import (
     script_to_json,
     update_call,
 )
+from repro.services.responders import sampling_invoker
 from repro.workloads import newspaper
 
 
@@ -281,7 +282,7 @@ class TestInvalidationProperties:
             mode="safe",
             compile_cache=CompilationCache(),
         )
-        invoker = per_call_invoker(base.sender_schema, base.invoker_seed)
+        invoker = sampling_invoker(base.sender_schema, base.invoker_seed)
         document = normalize_document(base.document)
         return enforcer.session(document, invoker), scenario
 
@@ -378,6 +379,101 @@ class TestReuseIntrospection:
         assert 'repro_incremental_nodes_total{outcome="reused"}' in text
         assert 'repro_incremental_passes_total{outcome="ok"}' in text
         assert "repro_incremental_edits_total 1" in text
+
+
+def _pass_counters(outcome):
+    return (
+        outcome.receipt(), outcome.nodes_reanalyzed, outcome.nodes_reused,
+        outcome.subtree_nodes_reused, outcome.verify_checked,
+        outcome.verify_reused, outcome.invocations_performed,
+        outcome.invocations_reused,
+    )
+
+
+def _magazine_session(articles):
+    from repro.incremental import bench as storm_bench
+
+    sender, receiver = storm_bench._schemas()
+    enforcer = SchemaEnforcer(
+        target_schema=receiver, sender_schema=sender, k=1, mode="safe",
+        compile_cache=CompilationCache(),
+    )
+    session = enforcer.session(
+        storm_bench._magazine(articles), storm_bench._invoker
+    )
+    return session, storm_bench
+
+
+class TestMemoSweep:
+    """Session memos are swept down to the live trees' nodes."""
+
+    def test_memos_stay_bounded_over_a_storm(self):
+        import random
+
+        session, storm_bench = _magazine_session(8)
+        session.enforce()
+        storm = storm_bench._storm(random.Random("sweep-storm"), 8, 5000)
+        # One edit rebuilds one spine in the source and one in the
+        # enforced document.
+        spine = session.document.depth() + session.enforced.depth()
+        swept = 0
+        for index, edit in enumerate(storm):
+            session.apply([edit])
+            if index % 7 == 6:
+                session.undo()
+            live = len(session.live_ids())
+            for memo in (session._engine._memo, session._verify._memo):
+                assert len(memo) <= 2 * live + spine, (index, len(memo), live)
+            swept += session.live_nodes == live
+        assert swept > 10
+
+    def test_sweeping_every_pass_changes_no_counter(self):
+        import random
+
+        from repro.conformance.fuzzer import fuzz_edit_scenario
+
+        def run(sweep_each_pass, make_session, steps):
+            session = make_session()
+            sequence = [_pass_counters(session.enforce())]
+            for step in steps:
+                sequence.append(_pass_counters(step(session)))
+                if sweep_each_pass:
+                    session._sweep()
+            return sequence
+
+        storm = _magazine_session(6)[1]._storm(
+            random.Random("sweep-exact"), 6, 60
+        )
+        steps = []
+        for index, edit in enumerate(storm):
+            steps.append(lambda session, edit=edit: session.apply([edit]))
+            if index % 5 == 4:
+                steps.append(lambda session: session.undo())
+        kept = run(False, lambda: _magazine_session(6)[0], steps)
+        assert run(True, lambda: _magazine_session(6)[0], steps) == kept
+
+        for seed in range(12):
+            scenario = fuzz_edit_scenario(seed)
+            base = scenario.base
+
+            def make_session(base=base):
+                enforcer = SchemaEnforcer(
+                    target_schema=base.exchange_schema,
+                    sender_schema=base.sender_schema,
+                    k=base.k, mode=base.mode,
+                    compile_cache=CompilationCache(),
+                )
+                return enforcer.session(
+                    base.document,
+                    sampling_invoker(base.sender_schema, base.invoker_seed),
+                )
+
+            steps = [
+                lambda session, script=script: session.apply(script)
+                for script in scenario.scripts
+            ] + [lambda session: session.undo()]
+            kept = run(False, make_session, steps)
+            assert run(True, make_session, steps) == kept, seed
 
 
 def deep_chain(depth):

@@ -143,3 +143,17 @@ class TestOptimalExecution:
                 analysis, (call("f"), call("g")), adversary
             )
             assert log.cost <= bound
+
+
+class TestAmbiguousOutputTypes:
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_b_star_b_answers_execute(self, length):
+        analysis = analyze_safe(
+            ("q0",), {"q0": parse_regex("b*.b")}, parse_regex("b*"), k=1
+        )
+        answer = tuple(el("b") for _ in range(length))
+        out, log = execute_safe_optimal(
+            analysis, (call("q0"),), lambda _fc: answer
+        )
+        assert out == answer
+        assert log.invoked == ["q0"]

@@ -220,3 +220,55 @@ class TestEdgeCases:
         assert analysis.exists
         decisions = analysis.preview_decisions()
         assert [d.action for d in decisions] == [INVOKE, KEEP]
+
+
+class TestAmbiguousOutputTypes:
+    """``b*.b`` has two ``b`` edges out of each non-final Glushkov state;
+    the executor must pick the one the rest of the answer completes."""
+
+    WORD = ("q0",)
+    TARGET = parse_regex("b*")
+
+    def outputs(self):
+        return {"q0": parse_regex("b*.b")}
+
+    @pytest.mark.parametrize("solver", ["eager", "lazy"])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_conforming_answer_executes(self, solver, length):
+        from repro.rewriting.lazy import analyze_safe_lazy
+
+        analyze = analyze_safe if solver == "eager" else analyze_safe_lazy
+        analysis = analyze(self.WORD, self.outputs(), self.TARGET, k=1)
+        assert analysis.exists
+        answer = tuple(el("b") for _ in range(length))
+        out, log = execute_safe(analysis, (call("q0"),), lambda _fc: answer)
+        assert out == answer
+        assert log.invoked == ["q0"]
+
+    def test_non_conforming_answer_still_fails(self):
+        analysis = analyze_safe(self.WORD, self.outputs(), self.TARGET, k=1)
+        with pytest.raises(RewriteExecutionError, match="does not complete"):
+            execute_safe(analysis, (call("q0"),), lambda _fc: ())
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_enforcer_materializes_the_call(self, length):
+        from repro.axml.enforcement import SchemaEnforcer
+        from repro.doc.document import Document
+        from repro.schema.model import SchemaBuilder
+
+        receiver = SchemaBuilder().element("r", "b*").element("b", "").build()
+        sender = (
+            SchemaBuilder().element("r", "q0").element("b", "")
+            .function("q0", "data", "b*.b").build()
+        )
+        enforcer = SchemaEnforcer(
+            target_schema=receiver, sender_schema=sender, k=1, mode="safe"
+        )
+        document = Document(el("r", call("q0", text("x"))))
+        outcome = enforcer.enforce_document(
+            document, lambda _fc: tuple(el("b") for _ in range(length))
+        )
+        assert outcome.ok, outcome.error
+        assert outcome.document.to_xml() == Document(
+            el("r", *(el("b") for _ in range(length)))
+        ).to_xml()
