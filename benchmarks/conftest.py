@@ -86,20 +86,24 @@ def registry():
     return well_behaved_registry()
 
 
-def write_bench_payload(payload: dict) -> str:
+def write_bench_payload(payload: dict, directory) -> str:
     """Write one ``BENCH_<name>.json`` trajectory file.
 
     The shared exit point for every benchmark that records a payload:
     stamps the host fingerprint, then lands the file in
-    ``$REPRO_BENCH_DIR`` (default: the current directory, i.e. the repo
-    root when run via pytest) in the sorted-JSON convention `repro
-    bench` also follows.  ``payload["benchmark"]`` names the file.
+    ``$REPRO_BENCH_DIR`` when set, else in ``directory`` (the tests pass
+    pytest's ``tmp_path``, so a smoke-size run never overwrites the
+    full-size records at the repository root, which ``repro bench``
+    writes), in the sorted-JSON convention `repro bench` also follows.
+    ``payload["benchmark"]`` names the file.
     """
     import os
 
     payload = dict(payload)
     payload.setdefault("machine", machine_fingerprint())
-    return write_payload(payload, os.environ.get("REPRO_BENCH_DIR", "."))
+    return write_payload(
+        payload, os.environ.get("REPRO_BENCH_DIR", str(directory))
+    )
 
 
 def print_series(title: str, rows):

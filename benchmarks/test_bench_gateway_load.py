@@ -53,6 +53,6 @@ class TestGatewayLoad:
         assert any("compile" in key for key in work)
         assert any("game" in key for key in work)
 
-    def test_write_payload(self, payload):
-        path = write_bench_payload(payload)
+    def test_write_payload(self, payload, tmp_path):
+        path = write_bench_payload(dict(payload, smoke=True), tmp_path)
         assert path.endswith("BENCH_gateway_load.json")

@@ -46,6 +46,6 @@ class TestIncrementalStorm:
         work = payload["work"]["default"]
         assert any("game" in key or "compile" in key for key in work)
 
-    def test_write_payload(self, payload):
-        path = write_bench_payload(payload)
+    def test_write_payload(self, payload, tmp_path):
+        path = write_bench_payload(dict(payload, smoke=True), tmp_path)
         assert path.endswith("BENCH_incremental.json")

@@ -52,6 +52,8 @@ class PeerRecord:
     #: Per-peer cap on concurrently admitted exchange requests.
     max_inflight: int = 8
     _schema: Optional[Schema] = field(default=None, repr=False, compare=False)
+    _sampler: Optional[object] = field(default=None, repr=False, compare=False)
+    _checker: Optional[object] = field(default=None, repr=False, compare=False)
 
     def schema(self) -> Schema:
         """The compiled vocabulary (memoized; raises on malformed text)."""
@@ -61,6 +63,29 @@ class PeerRecord:
 
             self._schema = compile_xschema(parse_xschema(self.xschema))
         return self._schema
+
+    def sampler(self):
+        """The vocabulary's compiled
+        :class:`~repro.schema.generator.SchemaSampler` (memoized): the
+        signatures this peer's calls are answered from when it sends."""
+        if self._sampler is None:
+            from repro.schema.generator import SchemaSampler
+
+            self._sampler = SchemaSampler(self.schema())
+        return self._sampler
+
+    def checker(self, compile_cache):
+        """The Definition 3 checker over this vocabulary alone (memoized
+        per compile cache): the verdict this peer reaches on what it
+        receives, with no other peer's signatures."""
+        checker = self._checker
+        if checker is None or checker.compile_cache is not compile_cache:
+            from repro.schema.validate import InstanceChecker
+
+            checker = self._checker = InstanceChecker(
+                self.schema(), None, compile_cache
+            )
+        return checker
 
     def to_json(self) -> dict:
         return {

@@ -32,15 +32,12 @@ from typing import List, Optional
 
 @dataclass
 class SessionEntry:
-    """One resident session plus the coordinates it was opened under."""
+    """One resident session plus the peers that own it."""
 
     document_id: str
     sender: str
     receiver: str
     session: object  # EnforcementSession (typed loosely: no import cycle)
-    mode: str
-    k: int
-    seed: int
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 

@@ -119,7 +119,9 @@ class _SubtreeEntry:
     dead_context: frozenset
     dead_added: frozenset
     degradations: int
-    size: int  # input subtree size, for O(1) reuse accounting
+    #: Input subtree size, counted the first time the entry is reused
+    #: (the root, re-analyzed on every pass, is never walked for it).
+    size: Optional[int] = None
 
 
 class ConformanceMemo:
@@ -273,6 +275,8 @@ class MemoRewriteEngine(RewriteEngine):
         if entry is not None and entry.dead_context == dead_context:
             self._replay(entry, log, stats)
             self.nodes_reused += 1
+            if entry.size is None:
+                entry.size = tree_size(node)
             self.subtree_nodes_reused += entry.size
             return entry.result
         self.nodes_reanalyzed += 1
@@ -293,7 +297,6 @@ class MemoRewriteEngine(RewriteEngine):
             dead_context=dead_context,
             dead_added=frozenset(dead) - dead_context,
             degradations=sub_stats.get("degradations", 0),
-            size=tree_size(node),
         )
         self._memo.put(node, entry)
         self._replay(entry, log, stats, fresh_dead=False)

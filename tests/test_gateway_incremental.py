@@ -106,18 +106,23 @@ class TestEditScriptMode:
         assert payload["reuse"]["invocations_performed"] == 0
 
     def test_reply_check_runs_off_the_event_loop(self, gateway, monkeypatch):
-        # Both session events (open, apply) validate their reply inside
-        # the pool job, never on the loop thread serving connections.
-        from repro.gateway import service
+        # Both session events (open, apply) check their reply with the
+        # receiving peer's own checker inside the pool job, never on the
+        # loop thread serving connections.
+        from repro.schema.validate import InstanceChecker
 
+        receiver_checker = gateway.gateway.registry.get("bob").checker(
+            gateway.gateway.compile_cache
+        )
         threads = []
+        validate = InstanceChecker.validate
 
-        def recording_validate(document, schema):
-            threads.append(threading.current_thread())
-            return validate(document, schema)
+        def recording_validate(checker, root, strict=True):
+            if checker is receiver_checker:
+                threads.append(threading.current_thread())
+            return validate(checker, root, strict)
 
-        validate = service.validate
-        monkeypatch.setattr(service, "validate", recording_validate)
+        monkeypatch.setattr(InstanceChecker, "validate", recording_validate)
 
         async def go():
             client = GatewayClient(gateway.host, gateway.port)
@@ -289,6 +294,52 @@ class TestSessionEviction:
             stats = run(go())
             assert stats["sessions"]["live"] == 2
             assert stats["sessions"]["evicted"] == 0
+        finally:
+            harness.stop()
+
+
+class TestBreakerAccounting:
+    def test_refusals_after_admission_count_against_the_sender(self):
+        # Unknown peers are refused before admission and never touch the
+        # breaker; an unknown session id and a bad script are refused
+        # after it, so they count like failed enforcements.
+        harness = make_gateway(breaker_threshold=2, breaker_cooldown=60.0)
+        try:
+            async def go():
+                client = GatewayClient(harness.host, harness.port)
+                try:
+                    unknown_peer = [
+                        await client.apply_edits(
+                            "alice", "nobody", "doc-1", RETITLE
+                        )
+                        for _ in range(3)
+                    ]
+                    opened = await client.open_session(
+                        "alice", "bob", "doc-1", DOCUMENT_XML
+                    )
+                    refused = [
+                        await client.apply_edits(
+                            "alice", "bob", "never-opened", RETITLE
+                        ),
+                        await client.apply_edits(
+                            "alice", "bob", "doc-1", [{"op": "bogus"}]
+                        ),
+                    ]
+                    tripped = await client.apply_edits(
+                        "alice", "bob", "doc-1", RETITLE
+                    )
+                    return unknown_peer, opened, refused, tripped
+                finally:
+                    await client.close()
+
+            unknown_peer, opened, refused, tripped = run(go())
+            assert all(r.error_code == "unknown-peer" for r in unknown_peer)
+            assert opened.status == 200, opened.body
+            assert [r.error_code for r in refused] == [
+                "unknown-session", "bad-edit",
+            ]
+            assert tripped.status == 503
+            assert tripped.error_code == "breaker-open"
         finally:
             harness.stop()
 

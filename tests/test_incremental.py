@@ -476,6 +476,35 @@ class TestMemoSweep:
             assert run(True, make_session, steps) == kept, seed
 
 
+class TestSubtreeSizes:
+    """``subtree_nodes_reused`` costs no walk of the document."""
+
+    def test_an_edit_never_walks_the_root(self, monkeypatch):
+        import random
+
+        from repro.incremental import session as session_module
+
+        session, storm_bench = _magazine_session(200)
+        session.enforce()
+        walked = []
+        tree_size = session_module.tree_size
+
+        def recording_tree_size(node):
+            walked.append(node)
+            return tree_size(node)
+
+        monkeypatch.setattr(session_module, "tree_size", recording_tree_size)
+        storm = storm_bench._storm(random.Random("size-storm"), 200, 20)
+        for edit in storm:
+            outcome = session.apply([edit])
+            assert outcome.ok and outcome.subtree_nodes_reused > 0
+            root = session.document.root
+            assert all(node is not root for node in walked)
+        # Only entries being reused for the first time are counted, and
+        # an edit reuses whole articles, never the magazine.
+        assert sum(map(tree_size, walked)) < 20 * tree_size(root) // 10
+
+
 def deep_chain(depth):
     """``<a><a>…</a></a>``, ``depth`` elements deep."""
     node = el("a")
