@@ -179,6 +179,23 @@ def _random_output_type(rng: random.Random, leaves: List[str],
     return "%s*" % first, False
 
 
+def _text_output_type(rng: random.Random,
+                      leaves: List[str]) -> Optional[str]:
+    """Now and then a text-bearing output type (else ``None``).
+
+    Such an answer puts text among its caller's siblings once spliced
+    in — mixed content or adjacent text nodes, the shapes the XML
+    serialization does not carry faithfully.  Drawn from a stream of its
+    own, so the rest of a seed's scenario is the same with or without.
+    """
+    if rng.random() >= 0.3:
+        return None
+    leaf = rng.choice(leaves)
+    return rng.choice(
+        ["data", "data?", "data.%s" % leaf, "%s.data" % leaf, "data.data"]
+    )
+
+
 def _exchange_part(rng: random.Random, name: str, output_source: str) -> str:
     """How the exchange schema re-declares one function atom.
 
@@ -203,9 +220,13 @@ def fuzz_document_scenario(seed: int) -> DocumentScenario:
 
     output_sources = {}
     nested_calls = False
+    rng_text = random.Random("doc-text-%d" % seed)
     for index, name in enumerate(functions):
         peers = functions[:index]  # only earlier names: no output cycles
         output_sources[name], nested = _random_output_type(rng, leaves, peers)
+        text = _text_output_type(rng_text, leaves)
+        if text is not None:
+            output_sources[name], nested = text, False
         nested_calls = nested_calls or nested
 
     input_sources = {

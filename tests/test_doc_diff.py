@@ -142,3 +142,35 @@ class TestPathRoundTrip:
             if edit.kind == "inserted":
                 continue  # addresses the right-hand document
             get_node(round_tripped.root, edit.path)  # must not raise
+
+
+_SHAPES = [
+    el("a", el("t", "v"), call("f", el("p", "1"), text("")), el("x")),
+    el("a", el("t", " v ")),
+    el("a", text(""), el("x")),
+    el("a", text("")),
+    el("a", text("  ")),
+    el("a", text("w"), el("x")),
+    el("a", text("w"), text("u")),
+    call("f", text(" ")),
+    el("a", call("f", el("p", text("w"), el("q")))),
+    text("v"),
+    text(" v"),
+]
+
+
+@pytest.mark.parametrize("node", _SHAPES, ids=str)
+def test_is_wire_normal_agrees_with_normalize(node):
+    from repro.doc.nodes import Text
+    from repro.doc.normalize import (
+        UnserializableDocumentError, is_wire_normal, normalize_node,
+    )
+
+    try:
+        unchanged = normalize_node(node) is node
+    except UnserializableDocumentError:
+        unchanged = False
+    assert is_wire_normal(node) is unchanged
+    if unchanged and not isinstance(node, Text):
+        # A wire-normal document's bytes rebuild it.
+        assert Document.from_xml(Document(node).to_xml()).root == node
