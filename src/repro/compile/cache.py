@@ -4,7 +4,10 @@ Every word analysis in the rewriting stack needs compiled automata — the
 Glushkov NFA of each output type, the complete (minimized) DFA of the
 target, its complement ``Ā``, the k-depth expansion ``A_w^k`` — and
 until this module existed each analysis recompiled them from scratch,
-per engine, per document, per peer.  The game state space, not the
+per engine, per document, per peer.  The solved analyses are artifacts
+too: a children word's game depends on the word, the output types,
+the target, ``k`` and the invocable set, never on the document, so it
+is solved once per cache.  The game state space, not the
 document, dominates cost ("Games for Active XML Revisited"), so the two
 levers pulled here are:
 
@@ -109,8 +112,9 @@ class CompilationCache:
             digests are unbounded — they hold strings for schema-level
             types, which are few and small).
         persist_dir: optional directory for the on-disk artifact store;
-            compiled DFAs, NFAs and expansions are written there keyed by
-            content digest so later processes warm-start.
+            compiled DFAs, NFAs, expansions and solved analyses are
+            written there keyed by content digest so later processes
+            warm-start.
     """
 
     enabled = True
@@ -290,6 +294,39 @@ class CompilationCache:
         """
         return self._get_or_build(key, "expansion", build)
 
+    def analysis_key(
+        self,
+        word: Tuple[str, ...],
+        output_types: Dict[str, Regex],
+        k: int,
+        invocable_names: Iterable[str],
+        target: Regex,
+        algorithm: str,
+    ) -> Tuple:
+        """The exact content key of one solved word analysis.
+
+        Everything a solve reads: the ``A_w^k`` expansion key (word,
+        output-type digests of every candidate function, ``k``, the
+        invocable names left after the policy and the dead set), the
+        target's digest and the algorithm (``safe-lazy``, ``safe-eager``
+        or ``possible``).  The document is not among them, so a
+        children word's game is solved once however many documents,
+        engines or requests it occurs in.
+        """
+        expansion = self.expansion_key(word, output_types, k, invocable_names)
+        return ("analysis",) + expansion[1:] + (self.digest(target), algorithm)
+
+    def analysis(self, key: Tuple, build: Callable[[], object]):
+        """Memoize one solved analysis under a key from :meth:`analysis_key`.
+
+        Like expansions, analyses are immutable after construction, and
+        they are stored, persisted and snapshotted like every artifact.
+        The caller traces the solve under its own ``analysis`` span, with
+        the ``product`` and ``game`` spans beneath it, so no
+        ``compile.analysis`` span is opened here.
+        """
+        return self._get_or_build(key, "analysis", build, traced=False)
+
     # -- snapshots (peer warm-start) ------------------------------------------
 
     def export_snapshot(self) -> bytes:
@@ -365,7 +402,8 @@ class CompilationCache:
                 "repro_compile_cache_total", "Compilation cache lookups"
             ).inc(kind=kind, outcome=outcome)
 
-    def _get_or_build(self, key: Tuple, kind: str, build: Callable[[], object]):
+    def _get_or_build(self, key: Tuple, kind: str, build: Callable[[], object],
+                      traced: bool = True):
         with self._lock:
             value = self._store.get(key, _MISSING)
             if value is not _MISSING:
@@ -395,7 +433,10 @@ class CompilationCache:
             # Built outside the lock: compilation can be expensive and
             # must not serialize concurrent engines; a racing duplicate
             # build is simply discarded below.
-            with obs.tracer().span("compile." + kind, key=key[1][:12]):
+            if traced:
+                with obs.tracer().span("compile." + kind, key=key[1][:12]):
+                    value = build()
+            else:
                 value = build()
             record_work(obs.metrics(), "compile", {"builds": 1}, kind=kind)
 
@@ -429,7 +470,7 @@ class NullCompilationCache:
 
     Every request compiles fresh — including Hopcroft minimization, so
     the *artifacts* are identical to the shared cache's; only the
-    reuse is gone.  This is what the differential harness runs its
+    reuse is gone, and every game is solved again.  This is what the differential harness runs its
     baseline configurations on.
     """
 
@@ -470,6 +511,13 @@ class NullCompilationCache:
         return ()
 
     def expansion(self, key: Tuple, build: Callable[[], object]):
+        return build()
+
+    def analysis_key(self, word, output_types, k, invocable_names, target,
+                     algorithm) -> Tuple:
+        return ()
+
+    def analysis(self, key: Tuple, build: Callable[[], object]):
         return build()
 
     def export_snapshot(self) -> bytes:

@@ -23,7 +23,9 @@ import pickle
 import tempfile
 from typing import Any, Optional, Tuple
 
-#: Bumped whenever the pickled artifact layout changes.
+#: Bumped whenever the pickled artifact layout changes — solved analyses
+#: included, so also when ``SafeAnalysis``, ``PossibleAnalysis`` or
+#: anything they hold changes shape.
 FORMAT_VERSION = 2
 
 _MAGIC = "repro-compile-cache"

@@ -29,7 +29,8 @@ clone* for each word's solved safe analysis, and extracts:
 The planner never invokes anything and never touches the engine that
 will perform the real rewrite (so the real engine's cache accounting is
 bit-identical to a sequential run); it works against a disposable clone
-whose analysis cache the prefetch tasks then reuse.
+whose analysis memo the prefetch tasks then reuse, and whose solved
+games the real engine finds in the shared compilation cache.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The scheduler turns the :mod:`repro.exec.dag` plan into overlapped
 round-trips without giving up the sequential engine's guarantees:
 
 1. **Plan** — a *planning clone* of the engine (same schemas, mode, k,
-   policy; its own analysis cache and counters) extracts the call DAG.
+   policy; its own analysis memo and counters) extracts the call DAG.
    The real engine is never consulted, so its cache accounting stays
-   bit-identical to a sequential run.
+   bit-identical to a sequential run; the games the clone solves are
+   shared with it through the compilation cache.
 2. **Prefetch** — tasks run in topological waves on a bounded
    ``ThreadPoolExecutor``.  Each task rewrites its call's parameters
    through the planning clone (replaying nested prefetched results) and
@@ -267,7 +268,7 @@ class MaterializationScheduler:
 
     Args:
         plan_engine: the engine's *planning clone* — same configuration,
-            private analysis cache (see
+            private analysis memo (see
             :meth:`repro.rewriting.RewriteEngine._planning_engine`).
         policy: the :class:`ExecPolicy` knobs.
     """

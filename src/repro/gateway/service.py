@@ -837,6 +837,9 @@ class Gateway:
         if not request.body.strip():
             raise BadRequestError("missing document body")
         sender, receiver = self._peers(sender_name, receiver_name)
+        # The dispatch span: it closes when the response head goes out,
+        # before the body streams, so the settlement is recorded under it.
+        request_span = self.tracer.current()
 
         self.metrics.counter(
             "repro_gateway_bytes_total", "Document bytes through the gateway"
@@ -940,10 +943,15 @@ class Gateway:
                 self._count_exchange(
                     "stream", self.clock.now() - started, ok, bytes_out
                 )
-                self.tracer.event(
-                    "gateway.exchange-streamed", sender=sender_name,
-                    receiver=receiver_name, ok=ok, bytes=bytes_out,
-                )
+                with self.tracer.span(
+                    "gateway.exchange.stream",
+                    parent_id=getattr(request_span, "span_id", None),
+                    sender=sender_name, receiver=receiver_name,
+                ):
+                    self.tracer.event(
+                        "gateway.exchange-streamed", sender=sender_name,
+                        receiver=receiver_name, ok=ok, bytes=bytes_out,
+                    )
             except BaseException:
                 state["abandoned"] = True
                 ticket.release(success=False)

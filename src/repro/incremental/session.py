@@ -7,11 +7,15 @@ full :meth:`~repro.axml.enforcement.SchemaEnforcer.enforce_document`
 over the edited document — while doing work proportional to the edit's
 locality, not the document's size.  Four reuse layers stack up:
 
-1. **compile cache** — automata artifacts (DFAs, expansions) are
-   interned per session, so re-analyzed spine words never recompile;
+1. **compile cache** — automata artifacts (DFAs, expansions) and solved
+   games live in the enforcer's compilation cache (a fresh one per
+   session when the enforcer has none), so re-analyzed spine words
+   never recompile, and a game any engine on that cache solved is not
+   solved again;
 2. **analysis cache** — the engine's per-(word, target, dead) memo of
    solved games persists across edits, so an unchanged children word on
-   the spine re-analyzes in O(1);
+   the spine re-analyzes in O(1); a word it has not met yet is looked
+   up in the compilation cache's shared store before it is solved;
 3. **materialization cache** — service answers are memoized by call
    fingerprint; an unchanged call is never re-invoked;
 4. **subtree memo** — the heart of the session: a

@@ -193,13 +193,25 @@ class QuantileSketch:
 
     def quantile(self, q: float) -> Optional[float]:
         """The estimate for one tracked quantile (KeyError otherwise)."""
-        return self._estimators[float(q)].value()
+        return self.quantiles()[float(q)]
 
     def quantiles(self) -> Dict[float, Optional[float]]:
-        """Every tracked quantile's current estimate, sorted by q."""
-        return {
-            q: self._estimators[q].value() for q in sorted(self._estimators)
-        }
+        """Every tracked quantile's current estimate, sorted by q.
+
+        Each P² estimator runs on its own, so on a nearly sorted stream a
+        higher quantile's estimate can fall below a lower one's.  Each
+        estimate is clamped to at least the one below it: the reported
+        estimates never decrease as q increases.
+        """
+        estimates: Dict[float, Optional[float]] = {}
+        floor = None
+        for q in sorted(self._estimators):
+            value = self._estimators[q].value()
+            if value is not None:
+                floor = value if floor is None else max(floor, value)
+                value = floor
+            estimates[q] = value
+        return estimates
 
     def to_dict(self) -> dict:
         return {

@@ -112,12 +112,12 @@ class RewriteEngine:
         batch: group each prefetch wave's calls by endpoint (one worker
             drains an endpoint's batch).
         compile_cache: the shared automata compilation cache
-            (:mod:`repro.compile`).  ``None`` uses the ambient
-            process-wide cache; pass an explicit
-            :class:`~repro.compile.CompilationCache` to share across a
-            chosen set of engines, or
-            :data:`~repro.compile.DISABLED` to compile fresh each time
-            (the differential harness's baseline).
+            (:mod:`repro.compile`), which also holds solved word
+            analyses.  ``None`` uses the ambient process-wide cache;
+            pass an explicit :class:`~repro.compile.CompilationCache`
+            to share across a chosen set of engines, or
+            :data:`~repro.compile.DISABLED` to compile and solve fresh
+            each time (the differential harness's baseline).
     """
 
     target_schema: Schema
@@ -131,6 +131,8 @@ class RewriteEngine:
     #: Memoize word analyses across nodes.  Documents repeat content
     #: models (every <exhibit> shares one), so identical (word, target)
     #: problems recur; the solved game is stateless and safely reusable.
+    #: False also skips the compilation cache's shared analysis store:
+    #: every occurrence is solved (benchmark E18's ablation).
     cache: bool = True
     workers: Optional[int] = None
     dedup: Optional[bool] = None
@@ -145,7 +147,7 @@ class RewriteEngine:
 
     @property
     def cache_stats(self) -> Tuple[int, int]:
-        """(hits, misses) of the per-engine analysis cache."""
+        """(hits, misses) of the per-engine analysis memo."""
         return (self._cache_hits, self._cache_misses)
 
     def _ccache(self):
@@ -282,10 +284,7 @@ class RewriteEngine:
             return None
         try:
             target = self._desugared(target, word)
-            return self._cached(
-                "safe", word, target, frozenset(),
-                self._safe_solver(word, target, frozenset()),
-            )
+            return self._cached(SAFE, word, target, frozenset())
         except Exception:
             # Planning must be harmless: a word the driver would reject
             # (or fall back on) simply is not prefetched.
@@ -319,9 +318,12 @@ class RewriteEngine:
         prefetch tasks' parameter rewriting.
 
         Same decision inputs (schemas, k, mode, policy, laziness), but
-        its own analysis cache and counters — so this engine's
+        its own analysis memo and counters — so this engine's
         ``cache_hits``/``cache_misses`` accounting stays bit-identical
         to a sequential run no matter how much the planner analyzes.
+        The clone shares the compilation cache, so the sequential pass
+        finds the games the planner solved instead of solving them
+        again.
         """
         return RewriteEngine(
             target_schema=self.target_schema,
@@ -455,10 +457,7 @@ class RewriteEngine:
         so the walk is skipped.
         """
         if self.mode in (SAFE, AUTO):
-            analysis = self._cached(
-                "safe", word, target, dead,
-                self._safe_solver(word, target, dead),
-            )
+            analysis = self._cached(SAFE, word, target, dead)
             stats["product"] += analysis.stats.product_nodes
             if analysis.exists:
                 if not analysis.expansion.copies:
@@ -474,12 +473,7 @@ class RewriteEngine:
                 )
             stats["mode"] = POSSIBLE
 
-        def solve_possible():
-            output_types, invocable = self._word_problem(word, dead)
-            return analyze_possible(word, output_types, target, self.k,
-                                    invocable, compile_cache=self._ccache())
-
-        analysis = self._cached("possible", word, target, dead, solve_possible)
+        analysis = self._cached(POSSIBLE, word, target, dead)
         stats["product"] += analysis.stats.product_nodes
         if not analysis.exists:
             raise NoPossibleRewritingError(
@@ -524,65 +518,60 @@ class RewriteEngine:
         word = tuple(symbol_of(node) for node in forest)
         output_types, invocable = self._word_problem(word)
         target = self._desugared(target, word)
-        cc = self._ccache()
-        if self.mode == POSSIBLE:
-            analysis = analyze_possible(word, output_types, target, self.k,
-                                        invocable, compile_cache=cc)
-            if not analysis.exists:
-                raise NoPossibleRewritingError(
-                    "children word %s cannot rewrite into %s"
-                    % (".".join(word) or "eps", target)
-                )
+
+        def exists(kind: str) -> bool:
+            return self._solve(
+                kind, word, output_types, target, invocable
+            ).exists
+
+        if self.mode != POSSIBLE and exists(SAFE):
             return
-        analyze = analyze_safe_lazy if self.lazy else analyze_safe
-        analysis = analyze(word, output_types, target, self.k, invocable,
-                           compile_cache=cc)
-        if not analysis.exists:
-            if self.mode == AUTO:
-                fallback = analyze_possible(
-                    word, output_types, target, self.k, invocable,
-                    compile_cache=cc,
-                )
-                if fallback.exists:
-                    return
-                raise NoPossibleRewritingError(
-                    "children word %s cannot rewrite into %s"
-                    % (".".join(word) or "eps", target)
-                )
+        if self.mode != SAFE and exists(POSSIBLE):
+            return
+        if self.mode == SAFE:
             raise NoSafeRewritingError(
                 "children word %s has no safe %d-depth rewriting into %s"
                 % (".".join(word) or "eps", self.k, target)
             )
+        raise NoPossibleRewritingError(
+            "children word %s cannot rewrite into %s"
+            % (".".join(word) or "eps", target)
+        )
 
-    def _safe_solver(self, word, target, dead):
-        """The compute closure of one safe analysis (run on a miss only)."""
+    def _solve(self, kind: str, word, output_types, target, invocable):
+        """Solve one word problem: the safe game (lazy or eager) or
+        possible rewriting's reachability."""
+        cc = self._ccache()
+        if kind == POSSIBLE:
+            return analyze_possible(word, output_types, target, self.k,
+                                    invocable, compile_cache=cc)
+        analyze = analyze_safe_lazy if self.lazy else analyze_safe
+        return analyze(word, output_types, target, self.k, invocable,
+                       compile_cache=cc)
 
-        def solve():
-            output_types, invocable = self._word_problem(word, dead)
-            analyze = analyze_safe_lazy if self.lazy else analyze_safe
-            return analyze(word, output_types, target, self.k, invocable,
-                           compile_cache=self._ccache())
+    def _cached(self, kind: str, word, target, dead):
+        """The solved analysis of one word problem, memoized twice.
 
-        return solve
+        The per-engine dict is the per-document memo, keyed by (kind,
+        word, target, dead set).  The other inputs (k, policy, schemas,
+        laziness) are engine-constant, and ``output_types``/``invocable``
+        are functions of the word and the degradation state alone, so
+        the key is exact.  The word enters as the tuple itself (strings
+        cache their hashes) and the target through the compilation
+        cache's interned digest (with caching disabled, the structural
+        regex itself), so a warm word costs one tuple hash.
 
-    def _cached(self, kind: str, word, target, dead, compute):
-        """Memoize a solved analysis by (kind, word, target, dead set).
-
-        The other inputs (k, policy, schemas) are engine-constant, and
-        ``output_types``/``invocable`` are functions of the word and the
-        degradation state alone, so the key is exact.  Solved analyses
+        Only a per-engine miss reaches the compilation cache's shared
+        ``analysis`` store (:meth:`_analyzed`), where every engine on
+        that cache finds the games any of them solved.  Solved analyses
         are immutable after construction — execution only reads them.
-
-        The word enters the key as the tuple itself: strings cache their
-        hashes, so a repeat lookup costs one tuple hash and no digest.
-        The target enters through the compilation
-        cache's interned digest — O(1) per repeat lookup instead of
-        hashing a deep AST every time (with caching disabled the key
-        falls back to the structural regex itself).  Both are
-        content-exact, so hit/miss accounting is exact.
+        ``cache_hits``/``cache_misses`` count this memo alone: a
+        problem's first occurrence in a rewrite is a miss whether it was
+        solved or found in the store, so receipts stay a function of the
+        request, not of what the process solved before.
         """
         if not self.cache:
-            return self._analyzed(kind, "off", compute)
+            return self._analyzed(kind, word, target, dead, shared=False)
         key = (kind, word, self._ccache().regex_key(target), frozenset(dead))
         with self._cache_lock:
             analysis = self._analysis_cache.get(key)
@@ -594,7 +583,7 @@ class RewriteEngine:
             # Computed outside the lock: the scheduler's workers share
             # the planning clone, and a heavy analysis must not serialize
             # them (a racing duplicate is discarded by setdefault).
-            analysis = self._analyzed(kind, "miss", compute)
+            analysis = self._analyzed(kind, word, target, dead, shared=True)
             with self._cache_lock:
                 analysis = self._analysis_cache.setdefault(key, analysis)
         else:
@@ -606,26 +595,55 @@ class RewriteEngine:
                 ).inc(outcome="hit")
         return analysis
 
-    def _analyzed(self, kind: str, cache_outcome: str, compute):
-        """Run one word analysis under an ``analysis`` span."""
-        with obs.tracer().span("analysis", kind=kind,
-                               cache=cache_outcome) as span:
-            analysis = compute()
+    def _analyzed(self, kind: str, word, target, dead, shared: bool):
+        """One word analysis under an ``analysis`` span.
+
+        With ``shared``, the compilation cache's ``analysis`` store
+        answers when it holds the problem (``cache="shared"``: from
+        memory, disk or an imported snapshot) and solves it otherwise
+        (``cache="miss"``).  Without it the problem is solved outright
+        (``cache="off"``).  Only a real solve emits ``product``/``game``
+        spans, game work and the ``repro_product_nodes`` histogram.
+        """
+        output_types, invocable = self._word_problem(word, dead)
+        solved = False
+
+        def solve():
+            nonlocal solved
+            solved = True
+            return self._solve(kind, word, output_types, target, invocable)
+
+        with obs.tracer().span("analysis", kind=kind) as span:
+            if shared:
+                cc = self._ccache()
+                algorithm = kind if kind == POSSIBLE else (
+                    "safe-lazy" if self.lazy else "safe-eager"
+                )
+                key = cc.analysis_key(
+                    word, output_types, self.k,
+                    [name for name in output_types if invocable(name)],
+                    target, algorithm,
+                )
+                analysis = cc.analysis(key, solve)
+            else:
+                analysis = solve()
             span.set(
+                cache=("miss" if solved else "shared") if shared else "off",
                 exists=analysis.exists,
                 product_nodes=analysis.stats.product_nodes,
                 explored=analysis.stats.product_explored,
             )
         metrics = obs.metrics()
         if metrics.enabled:
-            if cache_outcome == "miss":
+            if shared:
                 metrics.counter(
                     "repro_analysis_cache_total", "Analysis cache lookups"
                 ).inc(outcome="miss")
-            metrics.histogram(
-                "repro_product_nodes",
-                "Reachable product nodes per word analysis",
-            ).observe(analysis.stats.product_nodes, kind=kind)
+            if solved:
+                metrics.histogram(
+                    "repro_product_nodes",
+                    "Reachable product nodes per word analysis",
+                ).observe(analysis.stats.product_nodes, kind=kind)
         return analysis
 
     # -- plumbing -------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import sys
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.automata.dfa import complement, complete, determinize
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.ops import language_equal
 from repro.automata.symbols import Alphabet, regex_symbols
+from repro.axml.enforcement import SchemaEnforcer
 from repro.compile import (
     DISABLED,
     CompilationCache,
@@ -39,10 +41,15 @@ from repro.compile import (
 )
 from repro.compile import context as compile_context
 from repro.doc.builder import call
+from repro.errors import FunctionUnavailableError, ReproError
+from repro.obs import MetricsRegistry, Tracer, observing
+from repro.obs.metrics import work_snapshot
 from repro.regex.ast import Atom, Seq
 from repro.rewriting.expansion import build_expansion
 from repro.rewriting.lazy import analyze_safe_lazy
 from repro.rewriting.safe import analyze_safe, problem_alphabet
+from repro.schema.model import SchemaBuilder
+from repro.schema.patterns import allow_all, allow_only
 from repro.workloads import newspaper
 from tests.conftest import build_registry
 
@@ -584,3 +591,239 @@ class TestEngineIntegration:
         )
         assert report.compatible
         assert shared.stats().lookups > 0
+
+
+# ---------------------------------------------------------------------------
+# The shared analysis store
+# ---------------------------------------------------------------------------
+
+
+def _observed(run):
+    """``run()`` under a fresh tracer and registry: its result, the game
+    stage's product nodes, and the finished spans."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    with observing(tracer, registry):
+        result = run()
+    product_nodes = sum(
+        amount for sample, amount in work_snapshot(registry).items()
+        if 'stage="game"' in sample and 'counter="product_nodes"' in sample
+    )
+    return result, product_nodes, tracer.finished()
+
+
+def _enforce(cc):
+    """One newspaper pass through a fresh enforcer on ``cc``: the output
+    and the receipt's counters."""
+    enforcer = SchemaEnforcer(
+        newspaper.schema_star2(), newspaper.schema_star(), k=1, workers=1,
+        compile_cache=cc,
+    )
+    outcome = enforcer.enforce_document(
+        newspaper.document(), build_registry().make_invoker()
+    )
+    assert outcome.ok and not outcome.already_conformant
+    return (outcome.document.to_xml(), outcome.calls_made,
+            outcome.cache_hits, outcome.cache_misses)
+
+
+def _rewrite(cc, workers=1, cache=True):
+    engine = RewriteEngine(
+        newspaper.schema_star3(), newspaper.schema_star(), k=1,
+        workers=workers, cache=cache, compile_cache=cc,
+    )
+    result = engine.rewrite(
+        wide_newspaper(12), build_registry().make_invoker()
+    )
+    return (result.document.to_xml(), result.calls_made,
+            result.product_nodes, result.cache_hits, result.cache_misses)
+
+
+def _tiny_schema(root, outputs):
+    builder = SchemaBuilder().element("r", root).element("a", "data")
+    for name, output in outputs.items():
+        builder.function(name, "data?", output)
+    return builder.root("r").build()
+
+
+#: What each tiny function answers, by its output type.
+_ANSWERS = {
+    "a": lambda: (el("a", "1"),),
+    "a.a": lambda: (el("a", "1"), el("a", "2")),
+    "a.g": lambda: (el("a", "1"), call("g")),
+}
+
+
+def _tiny(cc, root="a.a", outputs=None, sender=None, k=1, policy=None,
+          lazy=True, mode="safe", word=("f",), dead=()):
+    """Rewrite ``r[word]`` over a two-label schema; what the engine gives
+    (output and counters, or the error)."""
+    outputs = outputs or {"f": "a.a", "g": "a", "h": "a"}
+    answered = sender or outputs
+    engine = RewriteEngine(
+        _tiny_schema(root, outputs),
+        _tiny_schema("a*", sender) if sender else None,
+        k=k, mode=mode, policy=policy or allow_all(), lazy=lazy, workers=1,
+        compile_cache=cc,
+    )
+
+    def invoke(fc):
+        if fc.name in dead:
+            raise FunctionUnavailableError(fc.name)
+        return _ANSWERS[answered[fc.name]]()
+
+    document = Document(el("r", *[call(name) for name in word]))
+    try:
+        result = engine.rewrite(document, invoke)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return (result.document.to_xml(), result.calls_made, result.product_nodes,
+            result.mode_used, result.degraded_functions, result.cache_hits,
+            result.cache_misses)
+
+
+#: Pairs of engines that differ in one input of the analysis key.
+_KEY_CASES = {
+    "k": ({"outputs": {"f": "a.g", "g": "a"}, "k": 1},
+          {"outputs": {"f": "a.g", "g": "a"}, "k": 2}),
+    "sender-output-type": ({"sender": {"f": "a.a"}},
+                           {"sender": {"f": "a"}}),
+    "policy": ({}, {"policy": allow_only(("g",))}),
+    "dead-function": (
+        {"root": "a.h | f.a", "outputs": {"f": "a", "h": "a"},
+         "mode": "auto", "word": ("f", "h")},
+        {"root": "a.h | f.a", "outputs": {"f": "a", "h": "a"},
+         "mode": "auto", "word": ("f", "h"), "dead": ("h",)},
+    ),
+    "lazy": ({"root": "a.a.a", "word": ("f", "g"), "lazy": True},
+             {"root": "a.a.a", "word": ("f", "g"), "lazy": False}),
+    "target": ({"root": "a.a"}, {"root": "f | a.a"}),
+}
+
+
+class TestAnalysisStore:
+    """Solved analyses are shared through the cache, never mixed up."""
+
+    def test_second_pass_solves_nothing(self):
+        cc = CompilationCache()
+        first, first_work, first_spans = _observed(lambda: _enforce(cc))
+        second, second_work, spans = _observed(lambda: _enforce(cc))
+        assert first_work > 0
+        assert second_work == 0
+        names = [span.name for span in spans]
+        assert "product" not in names and "game" not in names
+        assert second == first
+        assert first[3] > 0  # each pass counts its own misses
+        for trace, outcome in ((first_spans, "miss"), (spans, "shared")):
+            assert {
+                span.attributes["cache"] for span in trace
+                if span.name == "analysis"
+            } == {outcome}
+
+    @pytest.mark.parametrize("case", sorted(_KEY_CASES))
+    def test_key_separates_every_input(self, case):
+        one, two = _KEY_CASES[case]
+        expected = (_tiny(DISABLED, **one), _tiny(DISABLED, **two))
+        assert expected[0] != expected[1]  # the input matters
+        for order in ((one, two), (two, one)):
+            cc = CompilationCache()
+            got = tuple(_tiny(cc, **options) for options in order)
+            if order[0] is two:
+                got = got[::-1]
+            assert got == expected
+
+    def test_threads_share_one_store(self):
+        configs = [options for pair in _KEY_CASES.values() for options in pair]
+        expected = [_tiny(DISABLED, **options) for options in configs]
+        cc = CompilationCache(maxsize=8)  # small: eviction under load
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    index = rng.randrange(len(configs))
+                    if _tiny(cc, **configs[index]) != expected[index]:
+                        raise AssertionError("wrong analysis: %r"
+                                             % (configs[index],))
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(seed,)) for seed in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+
+    def test_planning_clone_shares_solved_games(self):
+        sequential, sequential_work, _ = _observed(
+            lambda: _rewrite(CompilationCache(), workers=1)
+        )
+        parallel, parallel_work, _ = _observed(
+            lambda: _rewrite(CompilationCache(), workers=4)
+        )
+        assert sequential_work > 0
+        assert parallel_work == sequential_work
+        assert parallel == sequential
+
+    def test_persisted_analyses_warm_start_a_fresh_cache(self, tmp_path):
+        directory = str(tmp_path / "artifacts")
+        first, first_work, _ = _observed(
+            lambda: _enforce(CompilationCache(persist_dir=directory))
+        )
+        cc = CompilationCache(persist_dir=directory)
+        second, second_work, _ = _observed(lambda: _enforce(cc))
+        assert first_work > 0 and second_work == 0
+        assert second == first
+        assert cc.stats().persist_hits > 0
+        assert cc.stats().persist_errors == 0
+
+    def test_snapshot_carries_analyses(self):
+        warm = CompilationCache()
+        first = _enforce(warm)
+        cc = CompilationCache()
+        cc.import_snapshot(warm.export_snapshot())
+        second, work, _ = _observed(lambda: _enforce(cc))
+        assert work == 0
+        assert second == first
+
+    def test_corrupt_analysis_record_is_rebuilt(self, tmp_path):
+        directory = str(tmp_path / "artifacts")
+        first = _enforce(CompilationCache(persist_dir=directory))
+        corrupted = 0
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                record = pickle.load(handle)
+            if record[2] == "analysis":
+                with open(path, "wb") as handle:
+                    handle.write(b"\x80garbage, not a pickle")
+                corrupted += 1
+        assert corrupted > 0
+        cc = CompilationCache(persist_dir=directory)
+        second, work, _ = _observed(lambda: _enforce(cc))
+        assert work > 0
+        assert second == first
+        assert cc.stats().persist_errors == corrupted
+
+    def test_disabled_cache_solves_every_pass(self):
+        passes = [_observed(lambda: _enforce(DISABLED)) for _ in range(2)]
+        assert passes[0][1] > 0
+        assert passes[0][:2] == passes[1][:2]
+
+    def test_engines_without_memo_skip_the_store(self):
+        cc = CompilationCache()
+        passes = [
+            _observed(lambda: _rewrite(cc, cache=False)) for _ in range(2)
+        ]
+        assert passes[0][1] > 0
+        assert passes[0][:2] == passes[1][:2]
+        assert not any(key[0] == "analysis" for key in cc._store)

@@ -129,6 +129,44 @@ class TestStreamedExchange:
         assert "x-repro-cache-hits" in trailers
         assert "x-repro-cache-misses" in trailers
 
+    def test_settlement_is_in_the_request_trace(self, gateway):
+        # The body streams after the request span has closed; the
+        # settlement must still land in that request's span tree.
+        tracer = gateway.gateway.tracer
+        tracer.clear()
+
+        async def go():
+            body = DOCUMENT_XML.encode("utf-8")
+            return await _raw(
+                gateway.host, gateway.port,
+                _stream_head("sender=alice&receiver=bob&seed=42",
+                             length=len(body)),
+                body,
+            )
+
+        _status, _headers, body, trailers = parse_chunked_response(run(go()))
+        assert trailers.get("x-repro-ok") == "true"
+        spans = tracer.finished()
+        by_id = {span.span_id: span for span in spans}
+        (request,) = [span for span in spans if span.name == "gateway.request"]
+
+        def in_request_tree(span):
+            while span is not None:
+                if span is request:
+                    return True
+                span = by_id.get(span.parent_id)
+            return False
+
+        events = [
+            event for span in spans if in_request_tree(span)
+            for event in span.events if event.name == "gateway.exchange-streamed"
+        ]
+        assert len(events) == 1
+        assert events[0].attributes == {
+            "sender": "alice", "receiver": "bob", "ok": True,
+            "bytes": len(body),
+        }
+
     def test_chunked_request_body(self, gateway):
         async def go():
             dom = await _dom_reference(gateway)

@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.axml.network import TransferReceipt
 from repro.cli import main
+from repro.compile import CompilationCache, compiling
 from repro.obs import MetricsRegistry, Tracer, observing, spans_from_jsonl
 from repro.services.resilience import FaultReport, SimulatedClock
 from repro.workloads import newspaper
@@ -66,7 +67,9 @@ class TestExchangeTrace:
     def test_full_span_hierarchy(self):
         network, _bob = build_network()
         tracer = Tracer(clock=SimulatedClock())
-        with observing(tracer):
+        # A fresh cache: a game solved earlier in the process would be
+        # found in the shared analysis store, with no product/game spans.
+        with compiling(CompilationCache()), observing(tracer):
             receipt = network.send("alice", "bob", "front")
         assert receipt.accepted
 
@@ -125,7 +128,8 @@ class TestExchangeTrace:
         def run():
             network, _bob = build_network(resilience=ResiliencePolicy())
             tracer = Tracer(clock=SimulatedClock())
-            with observing(tracer):
+            # Each run on a fresh cache, so both compile and solve alike.
+            with compiling(CompilationCache()), observing(tracer):
                 network.send("alice", "bob", "front")
             out = io.StringIO()
             tracer.export_jsonl(out)
@@ -182,7 +186,9 @@ class TestExchangeMetrics:
     def test_pipeline_metrics_populated(self):
         network, _bob = build_network(resilience=ResiliencePolicy())
         registry = MetricsRegistry()
-        with observing(Tracer(clock=SimulatedClock()), registry):
+        with compiling(CompilationCache()), observing(
+            Tracer(clock=SimulatedClock()), registry
+        ):
             receipt = network.send("alice", "bob", "front")
         assert receipt.accepted
         assert registry.counter("repro_invocations_total").value(
@@ -306,6 +312,7 @@ class TestCliObservability:
             "rewrite", files["doc"], files["star"], files["star2"],
             "-o", str(files["dir"] / "out.xml"),
             "--trace", str(trace), "--metrics", str(prom),
+            "--compile-cache", str(files["dir"] / "cache"),
         ])
         assert code == 0
         err = capsys.readouterr().err

@@ -117,6 +117,27 @@ class TestQuantileSketch:
         with pytest.raises(KeyError):
             sketch.quantile(0.95)
 
+    def test_estimates_never_decrease_in_q(self):
+        # A nearly sorted stream (latencies in completion order) on which
+        # the independent P² estimators put p95 above p99.
+        rng = random.Random(25)
+        values = sorted(0.30 + rng.uniform(0, 0.05) for _ in range(60))
+        for _ in range(5):
+            i = rng.randrange(59)
+            values[i], values[i + 1] = values[i + 1], values[i]
+        sketch = QuantileSketch()
+        raw = {q: P2Quantile(q) for q in sketch.tracked}
+        for value in values:
+            sketch.observe(value)
+            for estimator in raw.values():
+                estimator.observe(value)
+        assert raw[0.95].value() > raw[0.99].value()  # the raw crossing
+        estimates = sketch.quantiles()
+        assert estimates[0.5] <= estimates[0.95] <= estimates[0.99]
+        assert estimates[0.99] == raw[0.95].value()
+        for q, estimate in estimates.items():
+            assert sketch.quantile(q) == estimate
+
     def test_dict_round_trip_is_json_stable(self):
         sketch = QuantileSketch()
         rng = random.Random(8)
