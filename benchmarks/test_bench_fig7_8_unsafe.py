@@ -35,12 +35,12 @@ def test_both_fork_options_marked():
     comp = analysis.comp
     p = comp.initial
     for position, symbol in enumerate(WORD[:2]):
-        p = analysis.comp_step(p, symbol)
+        p = comp.step(p, symbol)
     # At q2 with complement state after title.date: the Get_Temp fork.
     fork_get_temp = [
         e for e in expansion.edges_from(2) if str(e.guard) == "Get_Temp"
     ][0]
-    keep = (fork_get_temp.target, analysis.comp_step(p, "Get_Temp"))
+    keep = (fork_get_temp.target, comp.step(p, "Get_Temp"))
     invoke_edge = expansion.edge(fork_get_temp.invoke_edge)
     invoke = (invoke_edge.target, p)
     # Figure 8: BOTH options of [q2,p2] are marked — keeping Get_Temp can
@@ -50,11 +50,11 @@ def test_both_fork_options_marked():
     assert analysis.is_marked(invoke)
 
     # The TimeOut fork [q3,p3]: both options marked as well.
-    p3 = analysis.comp_step(p, "temp")
+    p3 = comp.step(p, "temp")
     fork_timeout = [
         e for e in expansion.edges_from(3) if str(e.guard) == "TimeOut"
     ][0]
-    keep_to = (fork_timeout.target, analysis.comp_step(p3, "TimeOut"))
+    keep_to = (fork_timeout.target, comp.step(p3, "TimeOut"))
     invoke_to_edge = expansion.edge(fork_timeout.invoke_edge)
     invoke_to = (invoke_to_edge.target, p3)
     assert analysis.is_marked(keep_to)

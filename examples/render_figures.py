@@ -10,76 +10,21 @@ Writes, into ``figures/`` (created next to the working directory):
 - ``fig10_target_star3.dot``   — the target automaton of (***);
 - ``fig12_lazy_star2.dot``     — the lazily explored product (pruned).
 
-Render with Graphviz, e.g. ``dot -Tpng figures/fig6_product_star2.dot``.
+The figures are built by ``repro figures`` (``repro.cli.cmd_figures``);
+this script runs that command.  Render with Graphviz, e.g.
+``dot -Tpng figures/fig6_product_star2.dot``.
 
 Run:  python examples/render_figures.py [output-dir]
 """
 
-import os
 import sys
 
-from repro.automata.dfa import complete, determinize
-from repro.automata.dot import dfa_to_dot, expansion_to_dot, product_to_dot
-from repro.automata.glushkov import glushkov_nfa
-from repro.regex.parser import parse_regex
-from repro.rewriting.expansion import build_expansion
-from repro.rewriting.lazy import analyze_safe_lazy
-from repro.rewriting.safe import analyze_safe, problem_alphabet, target_complement
-
-WORD = ("title", "date", "Get_Temp", "TimeOut")
-OUTPUTS = {
-    "Get_Temp": parse_regex("temp"),
-    "TimeOut": parse_regex("(exhibit | performance)*"),
-}
-TARGET2 = parse_regex("title.date.temp.(TimeOut | exhibit*)")
-TARGET3 = parse_regex("title.date.temp.exhibit*")
+from repro.cli import main as repro_main
 
 
 def main() -> None:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "figures"
-    os.makedirs(out_dir, exist_ok=True)
-
-    figures = {}
-
-    expansion = build_expansion(WORD, OUTPUTS, k=1)
-    figures["fig4_awk.dot"] = expansion_to_dot(
-        expansion, "Figure 4: A_w^1 for title.date.Get_Temp.TimeOut"
-    )
-
-    alphabet = problem_alphabet(WORD, OUTPUTS, TARGET2)
-    figures["fig5_complement_star2.dot"] = dfa_to_dot(
-        target_complement(TARGET2, alphabet),
-        "Figure 5: complement of (**)",
-    )
-    figures["fig7_complement_star3.dot"] = dfa_to_dot(
-        target_complement(TARGET3, problem_alphabet(WORD, OUTPUTS, TARGET3)),
-        "Figure 7: complement of (***)",
-    )
-    figures["fig10_target_star3.dot"] = dfa_to_dot(
-        complete(determinize(
-            glushkov_nfa(TARGET3), problem_alphabet(WORD, OUTPUTS, TARGET3)
-        )),
-        "Figure 10: automaton A for (***)",
-    )
-
-    safe2 = analyze_safe(WORD, OUTPUTS, TARGET2, k=1)
-    figures["fig6_product_star2.dot"] = product_to_dot(
-        safe2, "Figure 6: marked product for (**) — safe"
-    )
-    safe3 = analyze_safe(WORD, OUTPUTS, TARGET3, k=1)
-    figures["fig8_product_star3.dot"] = product_to_dot(
-        safe3, "Figure 8: marked product for (***) — unsafe"
-    )
-    lazy2 = analyze_safe_lazy(WORD, OUTPUTS, TARGET2, k=1)
-    figures["fig12_lazy_star2.dot"] = product_to_dot(
-        lazy2, "Figure 12: lazily explored product (pruned regions absent)"
-    )
-
-    for name, dot in figures.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dot + "\n")
-        print("wrote %s (%d nodes drawn)" % (path, dot.count("label=\"[") or dot.count("[label")))
+    repro_main(["figures", out_dir])
 
 
 if __name__ == "__main__":

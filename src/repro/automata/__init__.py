@@ -13,12 +13,14 @@ from the regular expressions of schemas:
   and deterministic automata with the standard constructions the paper
   relies on: subset construction, completion, complementation and
   minimization;
-- :mod:`repro.automata.ops` — emptiness, inclusion, equivalence and word
-  enumeration/sampling used by tests, Section 6 and the service simulator;
+- :mod:`repro.automata.ops` — dict-DFA emptiness, inclusion, equivalence
+  and word enumeration (the tests' oracle), and the service simulator's
+  word sampler;
 - :mod:`repro.automata.bitset` — the flat, integer-indexed encoding
-  the games and inclusion checks run on (state sets as int bitsets,
-  antichain inclusion); dict DFAs remain the data view executors and
-  renderers read.
+  everything at run time reads: the games and their executors, the
+  inclusion and equivalence checks, the instance checker and the word
+  sampler (state sets as int bitsets, antichain inclusion); dict DFAs
+  remain the figure renderer's input and the tests' oracle.
 """
 
 from repro.automata.bitset import (

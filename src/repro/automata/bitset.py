@@ -8,16 +8,24 @@ splitters, reachability frontiers, marking regions — a single Python
 ``|``/``&``/``&~`` on machine words, which is where the ≥10x over
 dict-of-dicts automata comes from: the dominant loops run in C.
 
-The encoding is *canonical-compatible* with the dict pipeline:
-:func:`bit_determinize` numbers subsets in BFS order over the sorted
-alphabet and :func:`bit_minimize` renumbers blocks the same way, so
+This is also the only automaton the run time reads: the compile cache
+hands out minimized ``BitDFA`` artifacts, and the games, the executors
+(:meth:`BitDFA.step` on the solved complement or target), the instance
+checker, the word sampler and the Section 6 signature and subsumption
+checks all run on them.  The dict :class:`~repro.automata.dfa.DFA`
+remains the figure renderer's input and the test suite's oracle.
+
+The encoding is *canonical*: :func:`bit_determinize` numbers subsets in
+BFS order over the sorted alphabet and :func:`bit_minimize` renumbers
+blocks the same way, so
 
     ``bit_minimize(bit_determinize(nfa, Σ)).to_dfa()``
 
 is byte-identical to ``minimize_hopcroft(determinize(nfa, Σ))`` — a
-property the test suite pins on fuzzed regexes.  That identity is what
-lets the compile cache hand out dict-DFA *views* of bitset artifacts
-without recompiling anything.
+property the test suite pins on fuzzed regexes.  It also makes two
+minimized automata over one alphabet equal (``==``) exactly when their
+languages are, which is how the Section 6 signature check compares
+types.
 
 :func:`antichain_language_subset` decides ``L(A) ⊆ L(N)`` directly
 against the *nondeterministic* right-hand automaton (De Wulf et al.'s
@@ -155,19 +163,16 @@ class BitDFA:
         ``tables[c][b]`` is the union of ``singles[8c + i]`` over the set
         bits ``i`` of the byte ``b`` — so folding an ``n``-bit mask costs
         ``n/8`` list lookups instead of a Python loop per set bit.  Each
-        chunk's 256 entries are filled in one pass via ``entry[b] =
-        entry[b without its lowest bit] | singles[that bit]``.
+        chunk's entries double once per state: the bytes with bit ``i``
+        set are the bytes below ``1 << i`` OR-ed with ``singles[8c + i]``
+        (a short last chunk is padded with zeros to 256).
         """
         tables: List[List[int]] = []
         for base in range(0, len(singles), 8):
-            width = min(8, len(singles) - base)
-            entries = [0] * 256
-            for value in range(1, 1 << width):
-                low = value & -value
-                entries[value] = (
-                    entries[value ^ low]
-                    | singles[base + low.bit_length() - 1]
-                )
+            entries = [0]
+            for single in singles[base:base + 8]:
+                entries += [entry | single for entry in entries]
+            entries += [0] * (256 - len(entries))
             tables.append(entries)
         return tables
 

@@ -7,18 +7,20 @@ hand:
 
 - :func:`expansion_to_dot` — ``A_w^k`` with fork nodes double-circled
   and invoke/return epsilon edges dashed (Figure 4);
-- :func:`dfa_to_dot` — target and complement automata, sinks shaded
-  (Figures 5, 7, 10);
-- :func:`product_to_dot` — the marked product, bad nodes filled
-  (Figures 6, 8) or the alive region of possible rewriting (Figure 11).
+- :func:`dfa_to_dot` — the dict target and complement automata, sinks
+  shaded (Figures 5, 7, 10);
+- :func:`product_to_dot` — a solved safe game read off its marking
+  masks, bad nodes filled (Figures 6, 8 and the pruned Figure 12).
 
-``examples/render_figures.py`` writes all of them to ``.dot`` files.
+``repro figures`` (:func:`repro.cli.cmd_figures`) writes all of them to
+``.dot`` files.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.automata.bitset import iter_bits
 from repro.automata.dfa import DFA
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -126,7 +128,11 @@ def product_to_dot(analysis, title: Optional[str] = None) -> str:
         '  label="%s"; rankdir=LR;' % _escape(title),
         "  node [shape=circle];",
     ]
-    nodes = sorted(analysis.explored)
+    nodes = [
+        (q, p)
+        for q, mask in enumerate(analysis.explored)
+        for p in iter_bits(mask)
+    ]
     ids = {node: index for index, node in enumerate(nodes)}
     for node in nodes:
         q, p = node

@@ -1,9 +1,12 @@
 """Language-level operations on automata.
 
-These power the schema-compatibility check of Section 6 (inclusion and
-equivalence), the tests (word enumeration against the reference regex
-matcher), and the simulated services (seeded word sampling from declared
-output types).
+The dict-DFA operations — :func:`regex_to_dfa`, emptiness, inclusion,
+equivalence and word enumeration — are the test suite's oracle; the run
+time decides inclusion on cached
+:class:`~repro.automata.bitset.BitDFA` artifacts with
+:func:`~repro.automata.bitset.bit_subset` directly.
+:class:`WordSampler` draws the simulated services' answers (seeded words
+of declared output types) from a minimized ``BitDFA``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Tuple
 
-from repro.automata.bitset import bit_intersects, bit_subset, from_dfa
+from repro.automata.bitset import (
+    BitDFA, bit_intersects, bit_subset, from_dfa, iter_bits,
+)
 from repro.automata.dfa import DFA, determinize
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.symbols import Alphabet, regex_symbols
@@ -100,7 +105,7 @@ def shortest_words(dfa: DFA, limit: int = 10) -> Iterator[Tuple[str, ...]]:
 
 
 def sample_word(
-    dfa: DFA,
+    dfa: BitDFA,
     rng: random.Random,
     stop_probability: float = 0.4,
     max_length: int = 24,
@@ -124,29 +129,32 @@ def sample_word(
 
 
 class WordSampler:
-    """A DFA prepared for repeated :func:`sample_word` walks.
+    """A :class:`BitDFA` prepared for repeated :func:`sample_word` walks.
 
     The distance-to-accepting table, each state's viable moves (sorted by
     symbol, dead ends dropped) and its closest-to-accepting move are
     computed once; :meth:`sample` then only draws from the RNG, making
-    exactly the draws :func:`sample_word` makes.  Immutable after
+    exactly the draws :func:`sample_word` makes.  The draws depend only
+    on the language and the alphabet (a wildcard offers every symbol of
+    it), never on the state numbering, so a minimized automaton draws
+    the same words as any other one for the language.  Immutable after
     construction, so one sampler may serve many threads.
     """
 
     __slots__ = ("initial", "accepting", "empty", "moves", "closest")
 
-    def __init__(self, dfa: DFA):
+    def __init__(self, dfa: BitDFA):
         distance = _distance_to_accepting(dfa)
         self.initial = dfa.initial
         self.accepting = dfa.accepting
-        self.empty = distance.get(dfa.initial) is None
+        self.empty = distance[dfa.initial] is None
         self.moves = {}
         self.closest = {}
-        for state, row in dfa.transitions.items():
+        for state in range(dfa.n):
             viable = tuple(
-                (symbol, target)
-                for symbol, target in sorted(row.items())
-                if distance.get(target) is not None
+                (symbol, row[state])
+                for symbol, row in zip(dfa.symbols, dfa.delta)
+                if distance[row[state]] is not None
             )
             if viable:
                 self.moves[state] = viable
@@ -167,7 +175,7 @@ class WordSampler:
         word: List[str] = []
         state = self.initial
         while True:
-            if state in self.accepting and (
+            if (self.accepting >> state) & 1 and (
                 len(word) >= max_length or rng.random() < stop_probability
             ):
                 return tuple(word)
@@ -185,19 +193,22 @@ class WordSampler:
             word.append(symbol)
 
 
-def _distance_to_accepting(dfa: DFA) -> dict:
-    """BFS distance from each state to the nearest accepting state."""
-    reverse: dict = {}
-    for source, row in dfa.transitions.items():
-        for target in row.values():
-            reverse.setdefault(target, set()).add(source)
-    distance = {state: 0 for state in dfa.accepting}
-    frontier = list(dfa.accepting)
+def _distance_to_accepting(dfa: BitDFA) -> List[Optional[int]]:
+    """BFS distance from each state to the nearest accepting state
+    (None where no accepting state is reachable)."""
+    pred = dfa.pred()
+    distance: List[Optional[int]] = [None] * dfa.n
+    frontier = list(iter_bits(dfa.accepting))
+    for state in frontier:
+        distance[state] = 0
     while frontier:
         next_frontier = []
         for state in frontier:
-            for previous in reverse.get(state, ()):
-                if previous not in distance:
+            sources = 0
+            for row in pred:
+                sources |= row[state]
+            for previous in iter_bits(sources):
+                if distance[previous] is None:
                     distance[previous] = distance[state] + 1
                     next_frontier.append(previous)
         frontier = next_frontier

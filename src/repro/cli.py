@@ -386,37 +386,36 @@ def cmd_figures(args) -> int:
     target3 = parse_regex("title.date.temp.exhibit*")
 
     os.makedirs(args.output_dir, exist_ok=True)
+    alphabet2 = problem_alphabet(word, outputs, target2)
+    alphabet3 = problem_alphabet(word, outputs, target3)
     figures = {
         "fig4_awk.dot": expansion_to_dot(
-            build_expansion(word, outputs, k=1), "Figure 4: A_w^1"
+            build_expansion(word, outputs, k=1),
+            "Figure 4: A_w^1 for title.date.Get_Temp.TimeOut",
         ),
         "fig5_complement_star2.dot": dfa_to_dot(
-            target_complement(
-                target2, problem_alphabet(word, outputs, target2)
-            ),
+            target_complement(target2, alphabet2),
             "Figure 5: complement of (**)",
         ),
         "fig6_product_star2.dot": product_to_dot(
-            analyze_safe(word, outputs, target2, k=1), "Figure 6"
+            analyze_safe(word, outputs, target2, k=1),
+            "Figure 6: marked product for (**) — safe",
         ),
         "fig7_complement_star3.dot": dfa_to_dot(
-            target_complement(
-                target3, problem_alphabet(word, outputs, target3)
-            ),
+            target_complement(target3, alphabet3),
             "Figure 7: complement of (***)",
         ),
         "fig8_product_star3.dot": product_to_dot(
-            analyze_safe(word, outputs, target3, k=1), "Figure 8"
+            analyze_safe(word, outputs, target3, k=1),
+            "Figure 8: marked product for (***) — unsafe",
         ),
         "fig10_target_star3.dot": dfa_to_dot(
-            complete(determinize(
-                glushkov_nfa(target3),
-                problem_alphabet(word, outputs, target3),
-            )),
+            complete(determinize(glushkov_nfa(target3), alphabet3)),
             "Figure 10: automaton A for (***)",
         ),
         "fig12_lazy_star2.dot": product_to_dot(
-            analyze_safe_lazy(word, outputs, target2, k=1), "Figure 12"
+            analyze_safe_lazy(word, outputs, target2, k=1),
+            "Figure 12: lazily explored product (pruned regions absent)",
         ),
     }
     for name, dot in figures.items():

@@ -1,10 +1,14 @@
 """The shared compilation cache: hash-consed automata artifacts.
 
 Every word analysis in the rewriting stack needs compiled automata — the
-Glushkov NFA of each output type, the complete (minimized) DFA of the
-target, its complement ``Ā``, the k-depth expansion ``A_w^k`` — and
-until this module existed each analysis recompiled them from scratch,
-per engine, per document, per peer.  The solved analyses are artifacts
+Glushkov NFA of each output type, the complete (minimized)
+:class:`~repro.automata.bitset.BitDFA` of the target, its complement
+``Ā``, the k-depth expansion ``A_w^k`` — and until this module existed
+each analysis recompiled them from scratch, per engine, per document,
+per peer.  The cached ``BitDFA`` is the only automaton the run time
+reads: the solver, the executors, the instance checker, the word
+sampler and the Section 6 signature and subsumption checks all take it
+from here.  The solved analyses are artifacts
 too: a children word's game depends on the word, the output types,
 the target, ``k`` and the invocable set, never on the document, so it
 is solved once per cache.  The game state space, not the
@@ -47,7 +51,6 @@ from repro.automata.bitset import (
     bit_determinize,
     bit_minimize,
 )
-from repro.automata.dfa import DFA
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.nfa import NFA
 from repro.automata.symbols import Alphabet
@@ -211,30 +214,6 @@ class CompilationCache:
         return self._get_or_build(
             key, "bitcomp",
             lambda: bit_complement_of(self.bit_target_dfa(target, alphabet)),
-        )
-
-    # -- dict-DFA views ------------------------------------------------------
-    #
-    # Executors, renderers and the Section 6 signature check read dict
-    # DFAs.  By the canonical-numbering identity (see
-    # :mod:`repro.automata.bitset`) ``to_dfa()`` of a minimized BitDFA is
-    # byte-identical to ``minimize_hopcroft(determinize(nfa))``, so each
-    # view costs one conversion per content digest, not a determinization.
-
-    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """The complete, Hopcroft-minimized DFA of ``target`` (a view)."""
-        key = ("bitdfaview", self.digest(target), self.alphabet_key(alphabet))
-        return self._get_or_build(
-            key, "bitdfaview",
-            lambda: self.bit_target_dfa(target, alphabet).to_dfa(),
-        )
-
-    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
-        """The complete minimized complement ``Ā`` as a DFA (a view)."""
-        key = ("bitcompview", self.digest(target), self.alphabet_key(alphabet))
-        return self._get_or_build(
-            key, "bitcompview",
-            lambda: self.bit_complement(target, alphabet).to_dfa(),
         )
 
     def antichain_subset(
@@ -493,12 +472,6 @@ class NullCompilationCache:
 
     def bit_complement(self, target: Regex, alphabet: Alphabet) -> BitDFA:
         return bit_complement_of(self.bit_target_dfa(target, alphabet))
-
-    def target_dfa(self, target: Regex, alphabet: Alphabet) -> DFA:
-        return self.bit_target_dfa(target, alphabet).to_dfa()
-
-    def complement(self, target: Regex, alphabet: Alphabet) -> DFA:
-        return self.bit_complement(target, alphabet).to_dfa()
 
     def antichain_subset(
         self, left: Regex, right: Regex, alphabet: Alphabet

@@ -26,7 +26,7 @@ from typing import Any, Optional, Tuple
 #: Bumped whenever the pickled artifact layout changes — solved analyses
 #: included, so also when ``SafeAnalysis``, ``PossibleAnalysis`` or
 #: anything they hold changes shape.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAGIC = "repro-compile-cache"
 

@@ -47,7 +47,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.compile.cache import CompilationCache
 from repro.doc.document import Document
 from repro.doc.nodes import (
     Element,
@@ -416,23 +415,10 @@ class EnforcementSession:
     which rewriting the schema admits globally.
     """
 
-    def __init__(
-        self,
-        enforcer,
-        document: Document,
-        invoker: Callable,
-        compile_cache=None,
-    ):
+    def __init__(self, enforcer, document: Document, invoker: Callable):
         self.enforcer = enforcer
         self.session_id = next(_session_ids)
         self._invoker = CachingInvoker(invoker)
-        cc = compile_cache
-        if cc is None:
-            cc = (
-                enforcer.compile_cache
-                if enforcer.compile_cache is not None
-                else CompilationCache()
-            )
         self._engine = MemoRewriteEngine(
             target_schema=enforcer.target_schema,
             sender_schema=enforcer.sender_schema,
@@ -442,7 +428,7 @@ class EnforcementSession:
             cost_model=enforcer.cost_model,
             eager=enforcer.eager,
             lazy=enforcer.lazy,
-            compile_cache=cc,
+            compile_cache=enforcer.compile_cache,
         )
         self._verify = ConformanceMemo(enforcer.checker)
         self.document = normalize_document(document)

@@ -52,9 +52,7 @@ _EXACT_PHASES = {
 }
 
 #: compile.<kind> span kinds that are determinization work, not parsing.
-_DETERMINIZE_KINDS = {
-    "bitdfa", "bitcomp", "bitdfaview", "bitcompview", "subset",
-}
+_DETERMINIZE_KINDS = {"bitdfa", "bitcomp", "subset"}
 
 
 def phase_of(name: str) -> str:

@@ -25,20 +25,20 @@ conformance fuzzer checks on every seed.
 
 The solved analyses are returned as the ordinary
 :class:`~repro.rewriting.safe.SafeAnalysis` /
-:class:`~repro.rewriting.possible.PossibleAnalysis` objects: ``marked``
-/ ``explored`` / ``alive`` become :class:`PNodeBitSet` views (set-like,
-lazily enumerated), and the complement / target automata are dict-DFA
-views of the bitset artifacts — numbering-identical to the dict
-pipeline by the canonical BFS construction, so every executor and
-renderer reads them unchanged.
+:class:`~repro.rewriting.possible.PossibleAnalysis` objects, which keep
+what the solve computed: the cached complement / target
+:class:`~repro.automata.bitset.BitDFA` and the per-expansion-state
+masks ``marked`` / ``explored`` / ``alive``.  The executors, the
+strategy helpers and the dot renderer read those directly, so no other
+automaton representation exists at run time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.bitset import BitDFA, iter_bits
+from repro.automata.bitset import BitDFA
 from repro.automata.symbols import Alphabet, concretize_class
 from repro.compile import context as compile_context
 from repro.obs import context as obs
@@ -48,43 +48,6 @@ from repro.rewriting.expansion import Expansion, build_expansion
 
 #: A product node, as elsewhere: (expansion state, automaton state).
 PNode = Tuple[int, int]
-
-
-class PNodeBitSet:
-    """A set-of-``(q, p)`` view over per-``q`` bitmasks.
-
-    Duck-types the ``Set[PNode]`` the analyses carry: membership, length
-    and iteration — enough for the executors, the strategy helpers, the
-    dot renderer and the tests, without ever materializing tuples unless
-    someone iterates.
-    """
-
-    __slots__ = ("_masks", "_count")
-
-    def __init__(self, masks: Dict[int, int]):
-        self._masks = {q: mask for q, mask in masks.items() if mask}
-        self._count: Optional[int] = None
-
-    def __contains__(self, node) -> bool:
-        q, p = node
-        return bool((self._masks.get(q, 0) >> p) & 1)
-
-    def __len__(self) -> int:
-        if self._count is None:
-            self._count = sum(mask.bit_count() for mask in self._masks.values())
-        return self._count
-
-    def __iter__(self) -> Iterator[PNode]:
-        for q in sorted(self._masks):
-            for p in iter_bits(self._masks[q]):
-                yield (q, p)
-
-    def __bool__(self) -> bool:
-        return bool(self._masks)
-
-    def mask(self, q: int) -> int:
-        """The raw complement-state mask at expansion state ``q``."""
-        return self._masks.get(q, 0)
 
 
 class _ExpansionView:
@@ -375,7 +338,6 @@ def solve_safe(
             word, output_types, k, invocable, compile_cache=cc
         )
         comp = cc.bit_complement(target, alphabet)
-        comp_view = cc.complement(target, alphabet)
         view = expansion_view(expansion, alphabet)
         span.set(
             expansion_states=expansion.n_states,
@@ -419,10 +381,10 @@ def solve_safe(
         k=k,
         target=target,
         expansion=expansion,
-        comp=comp_view,
+        comp=comp,
         alphabet=alphabet,
-        marked=PNodeBitSet(dict(enumerate(marked_reached))),
-        explored=PNodeBitSet(dict(enumerate(reach))),
+        marked=marked_reached,
+        explored=reach,
         exists=exists,
         stats=GameStats(
             expansion_states=expansion.n_states,
@@ -459,7 +421,6 @@ def solve_possible(
             word, output_types, k, invocable, compile_cache=cc
         )
         target_bit = cc.bit_target_dfa(target, alphabet)
-        target_view = cc.target_dfa(target, alphabet)
         view = expansion_view(expansion, alphabet)
         span.set(
             expansion_states=expansion.n_states,
@@ -577,9 +538,9 @@ def solve_possible(
         k=k,
         target=target,
         expansion=expansion,
-        target_dfa=target_view,
+        target_dfa=target_bit,
         alphabet=alphabet,
-        alive=PNodeBitSet(dict(enumerate(alive))),
+        alive=alive,
         exists=exists,
         stats=GameStats(
             expansion_states=expansion.n_states,

@@ -26,15 +26,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.doc.nodes import FunctionCall, Node, symbol_of
-from repro.errors import NoSafeRewritingError, RewriteExecutionError
+from repro.doc.nodes import Node
 from repro.rewriting.plan import INVOKE, KEEP, InvocationLog
 from repro.rewriting.safe import (
     Invoker,
     PNode,
     SafeAnalysis,
-    _answer_lookahead,
     alternatives,
+    walk_strategy,
 )
 
 
@@ -109,7 +108,7 @@ def optimal_decision(
     cost_of: Callable[[str], float],
 ) -> str:
     """Pick keep or invoke minimizing the guaranteed remaining cost."""
-    keep_succ = (edge.target, analysis.comp_step(node[1], str(edge.guard)))
+    keep_succ = (edge.target, analysis.comp.step(node[1], str(edge.guard)))
     invoke_edge = analysis.expansion.edge(edge.invoke_edge)
     invoke_succ = (invoke_edge.target, node[1])
     keep = values.get(keep_succ, math.inf)
@@ -128,79 +127,15 @@ def execute_safe_optimal(
 
     Guarantees the same safety, and additionally that the total cost paid
     never exceeds ``strategy_values(analysis)[initial]`` — the optimal
-    worst-case bound — whatever conforming outputs come back.
+    worst-case bound — whatever conforming outputs come back.  The walk
+    is :func:`repro.rewriting.safe.walk_strategy`; only the fork
+    decision differs.
     """
-    if not analysis.exists:
-        raise NoSafeRewritingError(
-            "no safe %d-depth rewriting of %s"
-            % (analysis.k, ".".join(analysis.word) or "eps")
-        )
     cost_of = cost_of or (lambda _name: 1.0)
-    log = log if log is not None else InvocationLog()
     values = strategy_values(analysis, cost_of)
-
-    out: List[Node] = []
-    node = analysis.initial
-    for child in children:
-        node = _consume(analysis, values, node, child, out, invoker, log,
-                        cost_of, depth=1)
-    if node[0] != analysis.expansion.final:
-        raise RewriteExecutionError("execution stopped before the word's end")
-    return tuple(out), log
-
-
-def _consume(analysis, values, node, child, out, invoker, log, cost_of, depth,
-             targets=None):
-    from repro.automata.symbols import class_matches
-
-    expansion = analysis.expansion
-    symbol = symbol_of(child)
-    q, p = node
-    candidates = [
-        edge for edge in expansion.edges_from(q)
-        if edge.kind == "symbol" and class_matches(edge.guard, symbol)
-        and (targets is None or edge.target in targets)
-    ]
-    if not candidates:
-        raise RewriteExecutionError(
-            "no transition for %r — document does not match the analysis"
-            % symbol
-        )
-    # Prefer candidates whose successors are in the winning region.
-    def viable(edge):
-        succ = (edge.target, analysis.comp_step(p, symbol))
-        in_values = succ in values
-        if edge.invoke_edge is not None:
-            invoke_edge = expansion.edge(edge.invoke_edge)
-            in_values = in_values or (invoke_edge.target, p) in values
-        return in_values
-
-    edge = next((e for e in candidates if viable(e)), candidates[0])
-
-    if isinstance(child, FunctionCall) and edge.invoke_edge is not None:
-        decision = optimal_decision(analysis, values, node, edge, cost_of)
-        if decision == KEEP:
-            out.append(child)
-            return (edge.target, analysis.comp_step(p, symbol))
-        invoke_edge = expansion.edge(edge.invoke_edge)
-        copy = expansion.copies[invoke_edge.copy]
-        forest = tuple(invoker(child))
-        log.add(child.name, depth,
-                tuple(symbol_of(t) for t in forest), cost_of(child.name))
-        inner = (invoke_edge.target, p)
-        lookahead = _answer_lookahead(
-            expansion, copy, inner[0], [symbol_of(tree) for tree in forest]
-        )
-        for position, tree in enumerate(forest):
-            targets = None if lookahead is None else lookahead[position]
-            inner = _consume(analysis, values, inner, tree, out, invoker,
-                             log, cost_of, depth + 1, targets)
-        return_edge_id = copy.return_edges.get(inner[0])
-        if return_edge_id is None:
-            raise RewriteExecutionError(
-                "service %r violated its output type" % child.name
-            )
-        return (expansion.edge(return_edge_id).target, inner[1])
-
-    out.append(child)
-    return (edge.target, analysis.comp_step(p, symbol))
+    return walk_strategy(
+        analysis, children, invoker, log, cost_of,
+        lambda node, edge: optimal_decision(
+            analysis, values, node, edge, cost_of
+        ),
+    )

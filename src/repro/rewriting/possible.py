@@ -15,9 +15,9 @@ calls have already happened; the invocation log keeps them, flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.dfa import DFA
+from repro.automata.bitset import BitDFA
 from repro.automata.symbols import Alphabet, class_matches, concretize_class
 from repro.doc.nodes import FunctionCall, Node, symbol_of
 from repro.errors import (
@@ -37,18 +37,19 @@ from repro.rewriting.safe import GameStats, Invoker, PNode
 class PossibleAnalysis:
     """The solved reachability problem for one children word.
 
-    ``alive`` contains every reachable product node from which an
-    accepting node is still reachable; a rewriting may exist iff the
-    initial node is alive (step 6).
+    ``alive[q]`` is a bitmask over the states of ``target_dfa`` (the
+    cached minimized target automaton): the reachable product nodes
+    ``(q, p)`` from which an accepting node is still reachable.  A
+    rewriting may exist iff the initial node is alive (step 6).
     """
 
     word: Tuple[str, ...]
     k: int
     target: Regex
     expansion: Expansion
-    target_dfa: DFA
+    target_dfa: BitDFA
     alphabet: Alphabet
-    alive: Set[PNode]
+    alive: List[int]
     exists: bool
     stats: GameStats
 
@@ -56,13 +57,15 @@ class PossibleAnalysis:
     def initial(self) -> PNode:
         return (self.expansion.initial, self.target_dfa.initial)
 
-    def step(self, p: int, symbol: str) -> int:
-        """One target-DFA move (the DFA is completed)."""
-        return self.target_dfa.transitions[p][self.alphabet.canon(symbol)]
+    def is_alive(self, node: PNode) -> bool:
+        q, p = node
+        return bool((self.alive[q] >> p) & 1)
 
     def is_accepting(self, node: PNode) -> bool:
         q, p = node
-        return q == self.expansion.final and p in self.target_dfa.accepting
+        return q == self.expansion.final and bool(
+            (self.target_dfa.accepting >> p) & 1
+        )
 
     def witness(self) -> Tuple[str, ...]:
         """Some word of ``lang(A_w^k) ∩ lang(R)`` — the hoped-for result.
@@ -83,7 +86,7 @@ class PossibleAnalysis:
             if self.is_accepting(node):
                 return emitted
             for edge, symbol, succ in _successors(self, node):
-                if succ in self.alive and succ not in seen:
+                if self.is_alive(succ) and succ not in seen:
                     seen.add(succ)
                     extended = emitted + ((symbol,) if symbol else ())
                     queue.append((succ, extended))
@@ -95,13 +98,14 @@ def _successors(
 ) -> List[Tuple[Edge, Optional[str], PNode]]:
     """All product moves — fork options are plain edges here (no game)."""
     q, p = node
+    step = analysis.target_dfa.step
     result: List[Tuple[Edge, Optional[str], PNode]] = []
     for edge in analysis.expansion.edges_from(q):
         if edge.is_epsilon:
             result.append((edge, None, (edge.target, p)))
             continue
         for symbol in concretize_class(edge.guard, analysis.alphabet):
-            result.append((edge, symbol, (edge.target, analysis.step(p, symbol))))
+            result.append((edge, symbol, (edge.target, step(p, symbol))))
     return result
 
 
@@ -201,7 +205,7 @@ def _search(
     budget: List[int],
     faults: List[ServiceFault],
 ) -> Optional[List[Node]]:
-    if node not in analysis.alive:
+    if not analysis.is_alive(node):
         return None
     if not items:
         return [] if analysis.is_accepting(node) else None
@@ -232,7 +236,7 @@ def _search(
     ]
     for edge in candidates:
         # Option 1 (free): keep the node as is.
-        succ = (edge.target, analysis.step(p, symbol))
+        succ = (edge.target, analysis.target_dfa.step(p, symbol))
         sub = _search(
             analysis, succ, rest, invoker, log, cost_of, budget, faults
         )
@@ -243,7 +247,7 @@ def _search(
             continue
         invoke_edge = expansion.edge(edge.invoke_edge)
         entry = (invoke_edge.target, p)
-        if entry not in analysis.alive:
+        if not analysis.is_alive(entry):
             continue
         if budget[0] <= 0:
             raise RewriteExecutionError("invocation budget exhausted")

@@ -24,16 +24,21 @@ unmarked region is then a winning strategy that
 
 The fixpoint itself runs as mask arithmetic in
 :mod:`repro.rewriting.bitgame`; this module holds the solved analysis,
-the per-node strategy helpers and the executor that read it.
+the per-node strategy helpers and the strategy walk that read it — on
+the solver's own cached ``Ā`` and marking masks.  The walk serves both
+executors: :func:`execute_safe` keeps a call whenever that is safe, and
+:func:`repro.rewriting.optimal.execute_safe_optimal` passes in its
+cost-optimal fork decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.automata.dfa import DFA, complement, determinize
-from repro.automata.glushkov import glushkov_nfa
+from repro.automata.bitset import BitDFA
 from repro.automata.symbols import Alphabet, class_matches, concretize_class, regex_symbols
 from repro.doc.nodes import FunctionCall, Node, symbol_of
 from repro.errors import NoSafeRewritingError, RewriteExecutionError, ServiceFault
@@ -48,6 +53,9 @@ from repro.rewriting.plan import (
     InvocationLog,
     timed_invoke,
 )
+
+if TYPE_CHECKING:
+    from repro.automata.dfa import DFA
 
 #: A product node: (expansion state, complement state).
 PNode = Tuple[int, int]
@@ -67,8 +75,15 @@ def problem_alphabet(
     return Alphabet.closure(*sets)
 
 
-def target_complement(target: Regex, alphabet: Alphabet) -> DFA:
-    """The complete deterministic complement ``Ā`` (step 4 of Figure 3)."""
+def target_complement(target: Regex, alphabet: Alphabet) -> "DFA":
+    """The complete deterministic complement ``Ā`` (step 4 of Figure 3).
+
+    The unminimized dict automaton the figures draw (Figures 5 and 7);
+    the solver runs on ``CompilationCache.bit_complement``.
+    """
+    from repro.automata.dfa import complement, determinize
+    from repro.automata.glushkov import glushkov_nfa
+
     return complement(determinize(glushkov_nfa(target), alphabet))
 
 
@@ -89,17 +104,19 @@ class SafeAnalysis:
     """The solved marking game for one children word.
 
     ``exists`` answers step 18 (is the initial state unmarked?); the rest
-    is the winning strategy the executor follows.
+    is the winning strategy the executor follows.  ``comp`` is the
+    cached minimized complement ``Ā``; ``marked[q]`` and ``explored[q]``
+    are bitmasks over its states, one per expansion state ``q``.
     """
 
     word: Tuple[str, ...]
     k: int
     target: Regex
     expansion: Expansion
-    comp: DFA
+    comp: BitDFA
     alphabet: Alphabet
-    marked: Set[PNode]
-    explored: Set[PNode]
+    marked: List[int]
+    explored: List[int]
     exists: bool
     stats: GameStats
 
@@ -111,13 +128,8 @@ class SafeAnalysis:
         Nodes never explored can only be reached through pruned (already
         bad) regions, so the lazy variant treats them as bad too.
         """
-        if node in self.marked:
-            return True
-        return node not in self.explored
-
-    def comp_step(self, p: int, symbol: str) -> int:
-        """One complement move (the complement is complete)."""
-        return self.comp.transitions[p][self.alphabet.canon(symbol)]
+        q, p = node
+        return not ((self.explored[q] & ~self.marked[q]) >> p) & 1
 
     @property
     def initial(self) -> PNode:
@@ -126,7 +138,7 @@ class SafeAnalysis:
     def decision(self, node: PNode, edge: Edge) -> str:
         """The strategy's choice at a fork: keep if safe, else invoke."""
         q, p = node
-        keep_succ = (edge.target, self.comp_step(p, str(edge.guard)))
+        keep_succ = (edge.target, self.comp.step(p, str(edge.guard)))
         if not self.is_marked(keep_succ):
             return KEEP
         return INVOKE
@@ -156,7 +168,7 @@ class SafeAnalysis:
                     if action == KEEP:
                         _q, p = node
                         followers.add(
-                            (edge.target, self.comp_step(p, str(edge.guard)))
+                            (edge.target, self.comp.step(p, str(edge.guard)))
                         )
                     else:
                         invoke = self.expansion.edge(edge.invoke_edge)
@@ -167,7 +179,7 @@ class SafeAnalysis:
                 current = followers
             else:
                 current = {
-                    (edge.target, self.comp_step(p, symbol)) for _q, p in current
+                    (edge.target, self.comp.step(p, symbol)) for _q, p in current
                 }
             current = {node for node in current if not self.is_marked(node)}
         return decisions
@@ -236,7 +248,7 @@ def alternatives(expansion: Expansion, analysis, node: PNode) -> List[Alternativ
             result.append(Alternative(edge.eid, ((edge.target, p),)))
             continue
         if edge.invoke_edge is not None:
-            keep = (edge.target, analysis.comp_step(p, str(edge.guard)))
+            keep = (edge.target, analysis.comp.step(p, str(edge.guard)))
             invoke_edge = expansion.edge(edge.invoke_edge)
             invoke = (invoke_edge.target, p)
             result.append(Alternative(edge.eid, (keep, invoke)))
@@ -245,7 +257,7 @@ def alternatives(expansion: Expansion, analysis, node: PNode) -> List[Alternativ
             result.append(
                 Alternative(
                     edge.eid,
-                    ((edge.target, analysis.comp_step(p, symbol)),),
+                    ((edge.target, analysis.comp.step(p, symbol)),),
                     symbol,
                 )
             )
@@ -286,6 +298,9 @@ def analyze_safe(
 #: Invokers take the function node and return the output forest.
 Invoker = Callable[[FunctionCall], Sequence[Node]]
 
+#: A fork decision: ``decide(node, fork_edge)`` is ``KEEP`` or ``INVOKE``.
+Decide = Callable[[PNode, Edge], str]
+
 
 def execute_safe(
     analysis: SafeAnalysis,
@@ -308,103 +323,134 @@ def execute_safe(
     forest outside its declared output type (the only way execution can
     fail once safety is established).
     """
+    return walk_strategy(
+        analysis, children, invoker, log, cost_of, analysis.decision
+    )
+
+
+def walk_strategy(
+    analysis: SafeAnalysis,
+    children: Sequence[Node],
+    invoker: Invoker,
+    log: Optional[InvocationLog],
+    cost_of: Optional[Callable[[str], float]],
+    decide: Decide,
+) -> Tuple[Tuple[Node, ...], InvocationLog]:
+    """The strategy walk behind both safe executors.
+
+    ``decide`` picks keep or invoke at every fork the walk meets on an
+    actual call; everything else — the edge each child takes, the timed
+    and fault-annotated invocations, the answer lookahead inside
+    signature copies and the checks that no step lands on a marked
+    node — is the same for :func:`execute_safe` and the cost-optimal
+    executor.
+    """
     if not analysis.exists:
         raise NoSafeRewritingError(
             "no safe %d-depth rewriting of %s into %s"
             % (analysis.k, ".".join(analysis.word) or "eps", analysis.target)
         )
-    log = log if log is not None else InvocationLog()
-    cost_of = cost_of or (lambda _name: 1.0)
-
-    out: List[Node] = []
+    walk = _Walk(
+        analysis, invoker, log if log is not None else InvocationLog(),
+        cost_of or (lambda _name: 1.0), decide,
+    )
     node = analysis.initial
     for child in children:
-        node = _consume(analysis, node, child, out, invoker, log, cost_of, depth=1)
+        node = walk.consume(node, child, 1)
     if node[0] != analysis.expansion.final:
         raise RewriteExecutionError("execution stopped before the word's end")
     if analysis.is_marked(node):
         raise AssertionError("strategy walked into a marked state")
-    return tuple(out), log
+    return tuple(walk.out), walk.log
 
 
-def _consume(
-    analysis: SafeAnalysis,
-    node: PNode,
-    child: Node,
-    out: List[Node],
-    invoker: Invoker,
-    log: InvocationLog,
-    cost_of: Callable[[str], float],
-    depth: int,
-    targets: Optional[Set[int]] = None,
-) -> PNode:
-    """Consume one actual child under the strategy; returns the new node.
+class _Walk:
+    """One play of the strategy, threaded through the recursion into
+    signature copies.  A plain object rather than a self-calling closure,
+    so a finished walk leaves no reference cycle holding its output."""
 
-    ``targets`` (inside a signature copy) restricts the consumed edge to
-    targets from which the rest of the answer can still reach a return
-    edge; see :func:`_answer_lookahead`.
-    """
-    expansion = analysis.expansion
-    symbol = symbol_of(child)
-    q, p = node
+    __slots__ = ("analysis", "invoker", "log", "cost_of", "decide", "out")
 
-    edge = _matching_edge(analysis, node, symbol, targets)
-    if isinstance(child, FunctionCall) and edge.invoke_edge is not None:
-        if analysis.decision(node, edge) == KEEP:
-            out.append(child)
-            return (edge.target, analysis.comp_step(p, symbol))
-        # Invoke: call the service, then thread its actual output through
-        # the attached signature copy.
-        invoke_edge = expansion.edge(edge.invoke_edge)
-        copy = expansion.copies[invoke_edge.copy]
-        try:
-            forest, elapsed = timed_invoke(invoker, child)
-        except ServiceFault as fault:
-            # The strategy chose to invoke because keeping was unsafe, so
-            # there is no local alternative; annotate the fault with the
-            # function so the engine can degrade (re-plan without it).
-            if getattr(fault, "function", None) is None:
-                fault.function = child.name
-            raise
-        log.add(
-            child.name,
-            depth,
-            tuple(symbol_of(t) for t in forest),
-            cost_of(child.name),
-            elapsed=elapsed,
-        )
-        inner: PNode = (invoke_edge.target, p)
-        if analysis.is_marked(inner):
-            raise AssertionError("invoke option led to a marked state")
-        lookahead = _answer_lookahead(
-            expansion, copy, inner[0], [symbol_of(tree) for tree in forest]
-        )
-        for position, tree in enumerate(forest):
-            inner = _consume(
-                analysis, inner, tree, out, invoker, log, cost_of, depth + 1,
-                None if lookahead is None else lookahead[position],
+    def __init__(self, analysis: SafeAnalysis, invoker: Invoker,
+                 log: InvocationLog, cost_of: Callable[[str], float],
+                 decide: Decide):
+        self.analysis = analysis
+        self.invoker = invoker
+        self.log = log
+        self.cost_of = cost_of
+        self.decide = decide
+        self.out: List[Node] = []
+
+    def consume(
+        self, node: PNode, child: Node, depth: int,
+        targets: Optional[Set[int]] = None,
+    ) -> PNode:
+        """Consume one actual child under the strategy; returns the new
+        node.  ``targets`` (inside a signature copy) restricts the
+        consumed edge to targets from which the rest of the answer can
+        still reach a return edge; see :func:`_answer_lookahead`."""
+        analysis = self.analysis
+        expansion = analysis.expansion
+        symbol = symbol_of(child)
+        p = node[1]
+        edge = _matching_edge(analysis, node, symbol, targets)
+        if isinstance(child, FunctionCall) and edge.invoke_edge is not None:
+            if self.decide(node, edge) == KEEP:
+                self.out.append(child)
+                return (edge.target, analysis.comp.step(p, symbol))
+            # Invoke: call the service, then thread its actual output
+            # through the attached signature copy.
+            invoke_edge = expansion.edge(edge.invoke_edge)
+            copy = expansion.copies[invoke_edge.copy]
+            try:
+                forest, elapsed = timed_invoke(self.invoker, child)
+            except ServiceFault as fault:
+                # The strategy chose to invoke because keeping was
+                # unsafe or dearer, so there is no local alternative;
+                # annotate the fault with the function so the engine can
+                # degrade (re-plan without it).
+                if getattr(fault, "function", None) is None:
+                    fault.function = child.name
+                raise
+            self.log.add(
+                child.name,
+                depth,
+                tuple(symbol_of(t) for t in forest),
+                self.cost_of(child.name),
+                elapsed=elapsed,
             )
-        return_edge_id = copy.return_edges.get(inner[0])
-        if return_edge_id is None:
-            raise RewriteExecutionError(
-                "service %r returned %s, which does not complete its "
-                "declared output type"
-                % (child.name, ".".join(symbol_of(t) for t in forest) or "eps")
+            inner: PNode = (invoke_edge.target, p)
+            if analysis.is_marked(inner):
+                raise AssertionError("invoke option led to a marked state")
+            lookahead = _answer_lookahead(
+                expansion, copy, inner[0], [symbol_of(tree) for tree in forest]
             )
-        return_edge = expansion.edge(return_edge_id)
-        successor = (return_edge.target, inner[1])
+            for position, tree in enumerate(forest):
+                inner = self.consume(
+                    inner, tree, depth + 1,
+                    None if lookahead is None else lookahead[position],
+                )
+            return_edge_id = copy.return_edges.get(inner[0])
+            if return_edge_id is None:
+                raise RewriteExecutionError(
+                    "service %r returned %s, which does not complete its "
+                    "declared output type"
+                    % (child.name,
+                       ".".join(symbol_of(t) for t in forest) or "eps")
+                )
+            successor = (expansion.edge(return_edge_id).target, inner[1])
+            if analysis.is_marked(successor):
+                raise AssertionError("return edge led to a marked state")
+            return successor
+
+        self.out.append(child)
+        successor = (edge.target, analysis.comp.step(p, symbol))
         if analysis.is_marked(successor):
-            raise AssertionError("return edge led to a marked state")
+            raise RewriteExecutionError(
+                "symbol %r drives the rewriting into a marked state "
+                "(a service output violated its declared type)" % symbol
+            )
         return successor
-
-    out.append(child)
-    successor = (edge.target, analysis.comp_step(p, symbol))
-    if analysis.is_marked(successor):
-        raise RewriteExecutionError(
-            "symbol %r drives the rewriting into a marked state "
-            "(a service output violated its declared type)" % symbol
-        )
-    return successor
 
 
 def _answer_lookahead(
@@ -475,7 +521,7 @@ def _matching_edge(
     if len(candidates) == 1:
         return candidates[0]
     for edge in candidates:
-        succ = (edge.target, analysis.comp_step(p, symbol))
+        succ = (edge.target, analysis.comp.step(p, symbol))
         if not analysis.is_marked(succ) or edge.invoke_edge is not None:
             return edge
     return candidates[0]

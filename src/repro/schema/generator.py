@@ -21,8 +21,9 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.ops import WordSampler, regex_to_dfa
+from repro.automata.ops import WordSampler
 from repro.automata.symbols import DATA, OTHER, Alphabet
+from repro.compile import context as compile_context
 from repro.doc.document import Document
 from repro.doc.nodes import Element, FunctionCall, Node, Text
 from repro.errors import SchemaError
@@ -156,7 +157,8 @@ class SchemaSampler:
 
     Holds the minimal-instance-size fixpoint, the schema's closed
     alphabet, its callable names and a memo of one :class:`WordSampler`
-    per content model (its ``regex_to_dfa`` plus distance table), so a
+    per content model (the ambient compile cache's minimized
+    ``BitDFA`` over this alphabet, plus its distance table), so a
     generator built from it (:meth:`generator`) only draws from its RNG.
     The memo is keyed by expression identity (the schema's content
     models are fixed objects); its values are deterministic, so a
@@ -186,7 +188,9 @@ class SchemaSampler:
         if entry is not None:
             return entry[1]
         sampler = WordSampler(
-            regex_to_dfa(self._desugared(expr), self.alphabet)
+            compile_context.cache().bit_target_dfa(
+                self._desugared(expr), self.alphabet
+            )
         )
         # The entry pins ``expr``, so its id cannot be reused meanwhile.
         return self._samplers.setdefault(id(expr), (expr, sampler))[1]

@@ -96,9 +96,11 @@ class FunctionPattern:
         return self._subsumes(signature)
 
     def _subsumes(self, signature: FunctionSignature) -> bool:
-        from repro.automata.ops import language_subset, regex_to_dfa
+        from repro.automata.bitset import bit_subset
         from repro.automata.symbols import Alphabet, regex_symbols
+        from repro.compile import context as compile_context
 
+        cc = compile_context.cache()
         for theirs, ours in (
             (signature.input_type, self.signature.input_type),
             (signature.output_type, self.signature.output_type),
@@ -106,8 +108,9 @@ class FunctionPattern:
             alphabet = Alphabet.closure(
                 regex_symbols(theirs), regex_symbols(ours)
             )
-            if not language_subset(
-                regex_to_dfa(theirs, alphabet), regex_to_dfa(ours, alphabet)
+            if not bit_subset(
+                cc.bit_target_dfa(theirs, alphabet),
+                cc.bit_target_dfa(ours, alphabet),
             ):
                 return False
         return True

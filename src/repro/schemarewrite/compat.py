@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.automata.ops import language_equal
 from repro.automata.symbols import DATA, OTHER, Alphabet, regex_symbols
 from repro.compile import context as compile_context
 from repro.errors import SchemaError
@@ -95,17 +94,17 @@ def _signatures_equivalent(sender_sig, receiver_sig, cc) -> bool:
     """Language-level signature agreement (Section 4's assumption).
 
     Structural equality is too strict: ``a | b`` and ``b | a`` declare
-    the same service.  Compare input and output types as languages, on
-    minimized DFAs from the compilation cache.
+    the same service.  Compare input and output types as languages: the
+    compilation cache's minimized automata are canonically numbered, so
+    over one alphabet they are equal exactly when their languages are.
     """
     for ours, theirs in (
         (sender_sig.input_type, receiver_sig.input_type),
         (sender_sig.output_type, receiver_sig.output_type),
     ):
         alphabet = Alphabet.closure(regex_symbols(ours), regex_symbols(theirs))
-        if not language_equal(
-            cc.target_dfa(ours, alphabet), cc.target_dfa(theirs, alphabet)
-        ):
+        minimal = cc.bit_target_dfa(ours, alphabet)
+        if minimal != cc.bit_target_dfa(theirs, alphabet):
             return False
     return True
 

@@ -193,9 +193,11 @@ class ServiceRegistry:
         fits).  ``input_type`` additionally constrains what the caller
         must be able to supply.
         """
-        from repro.automata.ops import intersects, language_subset, regex_to_dfa
+        from repro.automata.bitset import bit_intersects, bit_subset
         from repro.automata.symbols import Alphabet, regex_symbols
+        from repro.compile import context as compile_context
 
+        cc = compile_context.cache()
         matches: List[Tuple[Service, Operation]] = []
         for endpoint in sorted(self.services):
             service = self.services[endpoint]
@@ -206,12 +208,12 @@ class ServiceRegistry:
                     regex_symbols(signature.output_type),
                     regex_symbols(output_type),
                 )
-                theirs = regex_to_dfa(signature.output_type, alphabet)
-                wanted = regex_to_dfa(output_type, alphabet)
+                theirs = cc.bit_target_dfa(signature.output_type, alphabet)
+                wanted = cc.bit_target_dfa(output_type, alphabet)
                 type_ok = (
-                    language_subset(theirs, wanted)
+                    bit_subset(theirs, wanted)
                     if require_subset
-                    else intersects(theirs, wanted)
+                    else bit_intersects(theirs, wanted)
                 )
                 if not type_ok:
                     continue
@@ -220,9 +222,9 @@ class ServiceRegistry:
                         regex_symbols(signature.input_type),
                         regex_symbols(input_type),
                     )
-                    if not language_subset(
-                        regex_to_dfa(input_type, in_alphabet),
-                        regex_to_dfa(signature.input_type, in_alphabet),
+                    if not bit_subset(
+                        cc.bit_target_dfa(input_type, in_alphabet),
+                        cc.bit_target_dfa(signature.input_type, in_alphabet),
                     ):
                         continue
                 matches.append((service, operation))

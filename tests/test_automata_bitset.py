@@ -4,13 +4,12 @@ Three layers of cross-validation, mirroring how the core is wired in:
 
 - **Construction identity** — ``bit_minimize(bit_determinize(nfa))``
   viewed back as a dict DFA must be *byte-identical* to
-  ``minimize_hopcroft(determinize(nfa))``.  The compilation cache's
-  ``target_dfa``/``complement`` views lean on this: analyses hand
-  executors and renderers dict views whose state numbering matches the
-  dict pipeline.
-- **Decision procedures** — ``bit_subset``/``bit_intersects`` and the
-  antichain inclusion check must agree with a plain pair search over
-  the dict DFAs on a fuzzed corpus (500 seeded pairs for the antichain).
+  ``minimize_hopcroft(determinize(nfa))``: the canonical numbering the
+  Section 6 signature check's ``==`` on minimized automata leans on.
+- **Decision procedures** — ``bit_subset``/``bit_intersects``, ``==``
+  on minimized automata and the antichain inclusion check must agree
+  with the dict-DFA oracle on a fuzzed corpus (500 seeded pairs for the
+  antichain).
 - **Solvers** — safe/lazy/possible verdicts must match the reference
   interpreter (:mod:`repro.conformance.reference`) on fuzzed word
   problems, with the lazy exploration bound intact.
@@ -22,6 +21,7 @@ edges, shared empty rows, and an allocation bound.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -38,14 +38,16 @@ from repro.automata.bitset import (
 )
 from repro.automata.dfa import complement, complete, determinize, minimize_hopcroft
 from repro.automata.glushkov import glushkov_nfa
-from repro.automata.ops import intersects, language_subset
+from repro.automata.ops import (
+    WordSampler, intersects, language_equal, language_subset,
+)
 from repro.automata.symbols import Alphabet, regex_symbols
 from repro.compile import DISABLED
 from repro.conformance.fuzzer import fuzz_word_scenario
 from repro.conformance.reference import reference_possible, reference_safe
 from repro.obs.memory import traced_peak
 from repro.regex.parser import parse_regex
-from repro.rewriting.bitgame import PNodeBitSet, _ExpansionView
+from repro.rewriting.bitgame import _ExpansionView
 from repro.rewriting.expansion import build_expansion
 from repro.rewriting.lazy import analyze_safe_lazy
 from repro.rewriting.possible import analyze_possible
@@ -195,6 +197,38 @@ class TestDecisionProcedures:
                 "intersects(%s, %s)" % (ls, rs)
             )
 
+    def test_minimal_equality_is_language_equality(self):
+        """Two minimized automata over one alphabet are ``==`` exactly
+        when their languages are equal, on the pinned sources, on
+        syntactic variants of one language and on fuzzed target pairs."""
+        variants = [
+            ("a | b", "b | a"),
+            ("(a.b){1,2}", "a.b.(a.b)?"),
+            ("a*", "(a*)*"),
+            ("a?.b?", "(a.b) | a | b | eps"),
+            ("(any*).a", "any*.a"),
+        ]
+        sources = [(ls, rs) for ls in SOURCES for rs in SOURCES] + variants
+        targets = [fuzz_word_scenario(seed).target for seed in range(40)]
+        regexes = [(parse_regex(ls), parse_regex(rs)) for ls, rs in sources]
+        regexes += [(l, r) for l in targets[:20] for r in targets[20:]]
+        regexes += [(t, t) for t in targets]
+        for left, right in regexes:
+            alphabet = Alphabet.closure(
+                ALPHABET.symbols, regex_symbols(left), regex_symbols(right)
+            )
+            expected = language_equal(
+                _dict_pipeline(left, alphabet), _dict_pipeline(right, alphabet)
+            )
+            got = _bit_pipeline(left, alphabet) == _bit_pipeline(right, alphabet)
+            assert got == expected, "%s == %s" % (left, right)
+        assert any(
+            l != r and language_equal(
+                _dict_pipeline(l, ALPHABET), _dict_pipeline(r, ALPHABET)
+            )
+            for l, r in regexes
+        )
+
     def test_ops_match_reference(self):
         """`language_subset`/`intersects` answer like the pair search."""
         for ls, left, rs, right in self._pairs():
@@ -302,33 +336,108 @@ class TestSolverAgreement:
 
 
 # ---------------------------------------------------------------------------
-# The PNodeBitSet view
+# The word sampler
 # ---------------------------------------------------------------------------
 
 
-class TestPNodeBitSet:
-    def _set(self):
-        return PNodeBitSet({0: 0b101, 2: 0b10})
+def _reference_sample(dfa, rng, stop_probability=0.4, max_length=24,
+                      weight=None):
+    """The dict-DFA walk :class:`WordSampler` reproduces draw for draw."""
+    reverse = {}
+    for source, row in dfa.transitions.items():
+        for target in row.values():
+            reverse.setdefault(target, set()).add(source)
+    distance = {state: 0 for state in dfa.accepting}
+    frontier = list(dfa.accepting)
+    while frontier:
+        following = []
+        for state in frontier:
+            for previous in reverse.get(state, ()):
+                if previous not in distance:
+                    distance[previous] = distance[state] + 1
+                    following.append(previous)
+        frontier = following
+    if dfa.initial not in distance:
+        raise ValueError("cannot sample from an empty language")
+    word, state = [], dfa.initial
+    while True:
+        if state in dfa.accepting and (
+            len(word) >= max_length or rng.random() < stop_probability
+        ):
+            return tuple(word)
+        viable = [
+            (symbol, target)
+            for symbol, target in sorted(dfa.transitions.get(state, {}).items())
+            if target in distance
+        ]
+        if not viable:
+            return tuple(word)
+        if len(word) >= max_length:
+            symbol, state = min(viable, key=lambda item: distance[item[1]])
+        elif weight is None:
+            symbol, state = rng.choice(viable)
+        else:
+            weights = [max(1e-9, float(weight(s))) for s, _t in viable]
+            symbol, state = rng.choices(viable, weights=weights, k=1)[0]
+        word.append(symbol)
 
-    def test_membership(self):
-        nodes = self._set()
-        assert (0, 0) in nodes
-        assert (0, 2) in nodes
-        assert (2, 1) in nodes
-        assert (0, 1) not in nodes
-        assert (1, 0) not in nodes
 
-    def test_len_and_iter(self):
-        nodes = self._set()
-        assert len(nodes) == 3
-        assert sorted(nodes) == [(0, 0), (0, 2), (2, 1)]
+class TestWordSampler:
+    def test_minimized_sampler_matches_the_dict_walk(self):
+        """On the cached minimized automaton the sampler draws the same
+        words as the unminimized dict DFA, RNG state included — wildcard
+        draws over the whole alphabet too."""
+        regexes = _sources() + [
+            expr
+            for seed in range(30)
+            for expr in fuzz_word_scenario(seed).output_types.values()
+        ]
+        weights = (None, lambda symbol: 5.0 if symbol < "c" else 1.0)
+        for regex in regexes:
+            alphabet = Alphabet.closure(ALPHABET.symbols, regex_symbols(regex))
+            reference = determinize(glushkov_nfa(regex), alphabet)
+            sampler = WordSampler(DISABLED.bit_target_dfa(regex, alphabet))
+            for seed in range(6):
+                for weight, max_length in zip(weights, (24, 3)):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    for _ in range(4):
+                        try:
+                            expected = _reference_sample(
+                                reference, theirs, 0.3, max_length, weight
+                            )
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                sampler.sample(ours, 0.3, max_length, weight)
+                            break
+                        got = sampler.sample(ours, 0.3, max_length, weight)
+                        assert got == expected, regex
+                    assert ours.getstate() == theirs.getstate(), regex
 
-    def test_bool_and_mask(self):
-        assert self._set()
-        assert not PNodeBitSet({})
-        assert not PNodeBitSet({4: 0})
-        assert self._set().mask(0) == 0b101
-        assert self._set().mask(7) == 0
+
+class TestChunkTables:
+    def test_tables_fold_like_a_bit_by_bit_union(self):
+        """``tables[c][b]`` is the union of ``singles[8c + i]`` over the
+        set bits ``i`` of ``b``; bytes past a short last chunk are 0."""
+        rng = random.Random(7)
+        for n in (1, 3, 8, 9, 13, 40):
+            singles = [rng.getrandbits(n) for _ in range(n)]
+            tables = BitDFA._chunk_tables(singles)
+            assert len(tables) == (n + 7) // 8
+            for chunk, entries in enumerate(tables):
+                assert len(entries) == 256
+                for byte in range(256):
+                    expected = 0
+                    for bit in iter_bits(byte):
+                        if 8 * chunk + bit < n:
+                            expected |= singles[8 * chunk + bit]
+                    if byte >> min(8, n - 8 * chunk):
+                        expected = 0
+                    assert entries[byte] == expected, (n, chunk, byte)
+            mask = rng.getrandbits(n)
+            folded = 0
+            for state in iter_bits(mask):
+                folded |= singles[state]
+            assert BitDFA._fold(tables, mask) == folded
 
 
 class TestIterBits:

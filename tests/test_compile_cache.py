@@ -138,8 +138,12 @@ class TestPipeline:
         target = parse_regex("title.date.temp.exhibit*")
         alphabet = problem_alphabet(WORD, newspaper_outputs(), target)
         assert cc.nfa(target) is cc.nfa(parse_regex("title.date.temp.exhibit*"))
-        assert cc.target_dfa(target, alphabet) is cc.target_dfa(target, alphabet)
-        assert cc.complement(target, alphabet) is cc.complement(target, alphabet)
+        assert cc.bit_target_dfa(target, alphabet) is cc.bit_target_dfa(
+            target, alphabet
+        )
+        assert cc.bit_complement(target, alphabet) is cc.bit_complement(
+            target, alphabet
+        )
         stats = cc.stats()
         assert stats.hits >= 3 and stats.misses >= 3
 
@@ -154,19 +158,21 @@ class TestPipeline:
             target = parse_regex(expression)
             alphabet = Alphabet.closure(regex_symbols(target))
             raw = raw_target_dfa(target, alphabet)
-            minimized = cc.target_dfa(target, alphabet)
+            minimized = cc.bit_target_dfa(target, alphabet).to_dfa()
             assert language_equal(raw, minimized)
             assert minimized.n_states <= raw.n_states
             assert minimized.is_complete()
-            assert language_equal(complement(raw), cc.complement(target, alphabet))
+            assert language_equal(
+                complement(raw), cc.bit_complement(target, alphabet).to_dfa()
+            )
 
     def test_null_cache_same_artifacts_no_sharing(self):
         target = parse_regex("a.b*")
         alphabet = Alphabet.closure(regex_symbols(target))
-        one = DISABLED.target_dfa(target, alphabet)
-        two = DISABLED.target_dfa(target, alphabet)
+        one = DISABLED.bit_target_dfa(target, alphabet)
+        two = DISABLED.bit_target_dfa(target, alphabet)
         assert one is not two
-        assert language_equal(one, two)
+        assert one == two
         assert DISABLED.stats().lookups == 0
         assert not DISABLED.enabled and not NullCompilationCache().enabled
 
@@ -224,7 +230,7 @@ class TestLRU:
         cc = CompilationCache(maxsize=4)
         alphabet = Alphabet.closure({"a", "b"})
         for index in range(10):
-            cc.target_dfa(parse_regex("a" + ".a" * index), alphabet)
+            cc.bit_target_dfa(parse_regex("a" + ".a" * index), alphabet)
         stats = cc.stats()
         assert stats.entries <= 4
         assert stats.evictions > 0
@@ -233,17 +239,17 @@ class TestLRU:
         cc = CompilationCache(maxsize=2)
         alphabet = Alphabet.closure({"a", "b"})
         target = parse_regex("a.b")
-        first = cc.target_dfa(target, alphabet)
+        first = cc.bit_target_dfa(target, alphabet)
         for index in range(6):  # flush the LRU
-            cc.target_dfa(parse_regex("b" + ".b" * index), alphabet)
-        again = cc.target_dfa(target, alphabet)
-        assert language_equal(first, again)
+            cc.bit_target_dfa(parse_regex("b" + ".b" * index), alphabet)
+        again = cc.bit_target_dfa(target, alphabet)
+        assert first is not again and first == again
 
     def test_stats_accounting_is_consistent(self):
         cc = CompilationCache(maxsize=8)
         alphabet = Alphabet.closure({"a"})
         for _ in range(3):
-            cc.target_dfa(parse_regex("a*"), alphabet)
+            cc.bit_target_dfa(parse_regex("a*"), alphabet)
         stats = cc.stats()
         assert stats.lookups == stats.hits + stats.misses
         assert 0.0 <= stats.hit_rate <= 1.0
@@ -263,7 +269,7 @@ class TestThreadSafety:
         ]
         alphabet = Alphabet.closure({"a", "b", "c", "d"})
         expected = {
-            regex_digest(expr): DISABLED.target_dfa(expr, alphabet).n_states
+            regex_digest(expr): DISABLED.bit_target_dfa(expr, alphabet).n
             for expr in expressions
         }
         errors = []
@@ -279,13 +285,13 @@ class TestThreadSafety:
             try:
                 for _ in range(150):
                     expr = rng.choice(expressions)
-                    dfa = cc.target_dfa(expr, alphabet)
+                    dfa = cc.bit_target_dfa(expr, alphabet)
                     # Minimal DFAs are canonical in size: every thread
                     # must see an artifact of the unique minimal shape.
-                    if dfa.n_states != expected[regex_digest(expr)]:
+                    if dfa.n != expected[regex_digest(expr)]:
                         raise AssertionError("wrong artifact for %s" % expr)
-                    comp = cc.complement(expr, alphabet)
-                    if comp.n_states != dfa.n_states:
+                    comp = cc.bit_complement(expr, alphabet)
+                    if comp.n != dfa.n:
                         raise AssertionError("complement shape changed")
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 errors.append(exc)
@@ -338,8 +344,8 @@ class TestPersistence:
         cc = CompilationCache(persist_dir=directory)
         target = parse_regex("title.date.temp.exhibit*")
         alphabet = problem_alphabet(WORD, newspaper_outputs(), target)
-        dfa = cc.target_dfa(target, alphabet)
-        comp = cc.complement(target, alphabet)
+        dfa = cc.bit_target_dfa(target, alphabet)
+        comp = cc.bit_complement(target, alphabet)
         expansion = build_expansion(WORD, newspaper_outputs(), k=1,
                                     compile_cache=cc)
         return cc, target, alphabet, dfa, comp, expansion
@@ -354,13 +360,13 @@ class TestPersistence:
         assert store.entry_count() >= 3
 
         cc2 = CompilationCache(persist_dir=directory)
-        dfa2 = cc2.target_dfa(target, alphabet)
-        comp2 = cc2.complement(target, alphabet)
+        dfa2 = cc2.bit_target_dfa(target, alphabet)
+        comp2 = cc2.bit_complement(target, alphabet)
         expansion2 = build_expansion(WORD, newspaper_outputs(), k=1,
                                      compile_cache=cc2)
         assert cc2.stats().persist_hits >= 3
-        assert language_equal(dfa, dfa2)
-        assert language_equal(comp, comp2)
+        assert dfa == dfa2
+        assert comp == comp2
         assert expansion2.size() == expansion.size()
         assert [e.guard for e in expansion2.edges] == [
             e.guard for e in expansion.edges
@@ -376,8 +382,8 @@ class TestPersistence:
                 handle.write(b"\x80garbage, not a pickle")
 
         cc = CompilationCache(persist_dir=directory)
-        recompiled = cc.target_dfa(target, alphabet)
-        assert language_equal(dfa, recompiled)
+        recompiled = cc.bit_target_dfa(target, alphabet)
+        assert dfa == recompiled
         stats = cc.stats()
         assert stats.persist_errors >= 1
         assert stats.persist_hits == 0
@@ -385,7 +391,7 @@ class TestPersistence:
         # The bad file was overwritten with a fresh artifact: the next
         # process warm-starts again.
         cc2 = CompilationCache(persist_dir=directory)
-        assert language_equal(dfa, cc2.target_dfa(target, alphabet))
+        assert dfa == cc2.bit_target_dfa(target, alphabet)
         assert cc2.stats().persist_hits >= 1
 
     def test_wrong_version_or_kind_is_corruption(self, tmp_path):
@@ -404,8 +410,8 @@ class TestSnapshots:
         cc = CompilationCache()
         target = parse_regex("title.date.temp.exhibit*")
         alphabet = problem_alphabet(WORD, newspaper_outputs(), target)
-        dfa = cc.target_dfa(target, alphabet)
-        comp = cc.complement(target, alphabet)
+        dfa = cc.bit_target_dfa(target, alphabet)
+        comp = cc.bit_complement(target, alphabet)
         return cc, target, alphabet, dfa, comp
 
     def test_export_import_round_trip(self):
@@ -417,8 +423,8 @@ class TestSnapshots:
         added = cc2.import_snapshot(blob)
         assert added == cc1.stats().entries
         # The imported artifacts serve as hits, not rebuilds.
-        assert language_equal(cc2.target_dfa(target, alphabet), dfa)
-        assert language_equal(cc2.complement(target, alphabet), comp)
+        assert cc2.bit_target_dfa(target, alphabet) == dfa
+        assert cc2.bit_complement(target, alphabet) == comp
         stats = cc2.stats()
         assert stats.hits >= 2 and stats.misses == 0
 
@@ -428,10 +434,10 @@ class TestSnapshots:
         assert cc1.import_snapshot(blob) == 0  # everything already there
 
         cc2 = CompilationCache()
-        local = cc2.target_dfa(target, alphabet)
+        local = cc2.bit_target_dfa(target, alphabet)
         added = cc2.import_snapshot(blob)
         assert 0 < added < cc1.stats().entries
-        assert cc2.target_dfa(target, alphabet) is local
+        assert cc2.bit_target_dfa(target, alphabet) is local
 
     def test_malformed_blobs_raise_without_touching_store(self):
         cc = CompilationCache()

@@ -17,6 +17,7 @@ Three layers under test:
 import pytest
 
 from repro.axml.enforcement import SchemaEnforcer
+from repro.compile import compiling
 from repro.compile.cache import CompilationCache
 from repro.conformance.fuzzer import fuzz_edit_scenario
 from repro.doc.builder import call, el, text
@@ -40,6 +41,8 @@ from repro.incremental import (
     script_to_json,
     update_call,
 )
+from repro.obs import MetricsRegistry, observing
+from repro.obs.metrics import work_snapshot
 from repro.services.responders import sampling_invoker
 from repro.workloads import newspaper
 
@@ -402,6 +405,36 @@ def _magazine_session(articles):
         storm_bench._magazine(articles), storm_bench._invoker
     )
     return session, storm_bench
+
+
+class TestSessionCache:
+    def test_second_session_does_no_game_work(self):
+        """A cache-less enforcer's sessions share the ambient compile
+        cache: the second session's first pass solves no game."""
+
+        def game_nodes(run):
+            registry = MetricsRegistry()
+            with observing(metrics=registry):
+                outcome = run()
+            assert outcome.ok
+            return sum(
+                amount for sample, amount in work_snapshot(registry).items()
+                if 'stage="game"' in sample
+                and 'counter="product_nodes"' in sample
+            )
+
+        enforcer = fresh_enforcer()
+        with compiling(CompilationCache()):
+            passes = [
+                game_nodes(
+                    lambda: enforcer.session(
+                        newspaper.document(), newspaper_invoker()
+                    ).enforce()
+                )
+                for _ in range(2)
+            ]
+        assert passes[0] > 0
+        assert passes[1] == 0
 
 
 class TestMemoSweep:

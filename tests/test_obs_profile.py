@@ -43,10 +43,8 @@ class TestPhaseMapping:
         assert phase_of("invoke") == "materialize"
         assert phase_of("compile.nfa") == "compile"
         assert phase_of("compile.expansion") == "compile"
-        assert phase_of("compile.bitdfaview") == "determinize"
         assert phase_of("compile.bitcomp") == "determinize"
         assert phase_of("compile.bitdfa") == "determinize"
-        assert phase_of("compile.bitcompview") == "determinize"
         assert phase_of("exec.wave") == "materialize"
         assert phase_of("transfer.validate") == "materialize"
         assert phase_of("enforce") == "other"

@@ -17,6 +17,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.bitset import from_dfa
 from repro.automata.dfa import complement, complete, minimize
 from repro.automata.ops import language_equal, regex_to_dfa, sample_word
 from repro.automata.symbols import Alphabet
@@ -88,7 +89,7 @@ class TestAutomataAgainstReference:
 
         if is_empty(dfa):
             return
-        word = sample_word(dfa, random.Random(seed))
+        word = sample_word(from_dfa(dfa), random.Random(seed))
         assert dfa.accepts(word)
 
     @given(regexes(), words())
@@ -158,7 +159,9 @@ class TestRewritingInvariants:
             dfa = regex_to_dfa(
                 out_type, Alphabet.closure(SYMBOLS, output_types.keys())
             )
-            out_word = sample_word(dfa, rng, stop_probability=0.5, max_length=6)
+            out_word = sample_word(
+                from_dfa(dfa), rng, stop_probability=0.5, max_length=6
+            )
             forest = []
             for symbol in out_word:
                 if symbol in output_types:

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from repro.automata.bitset import iter_bits
 from repro.doc import call, el
-from repro.errors import NoSafeRewritingError
+from repro.errors import NoSafeRewritingError, ServiceFault
 from repro.regex.parser import parse_regex
 from repro.rewriting.optimal import (
     execute_safe_optimal,
@@ -63,7 +64,13 @@ class TestStrategyValues:
         word, outputs, target = greedy_suboptimal_problem()
         analysis = analyze_safe(word, outputs, target, k=1)
         values = strategy_values(analysis)
-        for node in analysis.marked:
+        marked = [
+            (q, p)
+            for q, mask in enumerate(analysis.marked)
+            for p in iter_bits(mask)
+        ]
+        assert marked
+        for node in marked:
             assert values.get(node, math.inf) == math.inf
 
 
@@ -143,6 +150,65 @@ class TestOptimalExecution:
                 analysis, (call("f"), call("g")), adversary
             )
             assert log.cost <= bound
+
+    def test_records_carry_the_invokers_clock(self):
+        """Invocations are timed like the greedy executor's: on the
+        invoker's own clock when it carries one."""
+
+        class TickingInvoker:
+            def __init__(self):
+                self.clock = self
+                self.ticks = 0.0
+
+            def now(self):
+                self.ticks += 0.25
+                return self.ticks
+
+            def __call__(self, fc):
+                return invoker(fc)
+
+        word, outputs, target = greedy_suboptimal_problem()
+        analysis = analyze_safe(word, outputs, target, k=1)
+        children = (call("f"), call("g"), call("h"))
+        _out, log = execute_safe_optimal(analysis, children, TickingInvoker())
+        _out, greedy_log = execute_safe(analysis, children, TickingInvoker())
+        assert [(r.function, r.elapsed) for r in log.records] == [("f", 0.25)]
+        assert all(r.elapsed == 0.25 for r in greedy_log.records)
+
+    def test_fault_is_annotated_with_the_function(self):
+        """A fault on a call the strategy must invoke names the function,
+        so the engine can re-plan without it."""
+
+        def faulty(fc):
+            raise ServiceFault("%s is down" % fc.name)
+
+        word, outputs, target = greedy_suboptimal_problem()
+        analysis = analyze_safe(word, outputs, target, k=1)
+        with pytest.raises(ServiceFault) as info:
+            execute_safe_optimal(
+                analysis, (call("f"), call("g"), call("h")), faulty
+            )
+        assert getattr(info.value, "function", None) == "f"
+
+
+class TestWalk:
+    def test_walks_leave_no_reference_cycles(self):
+        """Both executors' walks are freed by reference counting alone:
+        a cycle would keep each walk's output alive until the next
+        collection, which raises the streaming pass's memory peak."""
+        import gc
+
+        word, outputs, target = greedy_suboptimal_problem()
+        analysis = analyze_safe(word, outputs, target, k=1)
+        children = (call("f"), call("g"), call("h"))
+        gc.collect()
+        gc.disable()
+        try:
+            for execute in (execute_safe, execute_safe_optimal):
+                execute(analysis, children, invoker)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAmbiguousOutputTypes:

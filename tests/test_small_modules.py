@@ -219,10 +219,11 @@ class TestWeightedSampling:
     def test_weight_steers_choices(self):
         import random
 
+        from repro.automata.bitset import from_dfa
         from repro.automata.ops import regex_to_dfa, sample_word
         from repro.regex.parser import parse_regex
 
-        dfa = regex_to_dfa(parse_regex("(a | b){8,8}"))
+        dfa = from_dfa(regex_to_dfa(parse_regex("(a | b){8,8}")))
         rng = random.Random(3)
         heavy_a = sample_word(
             dfa, rng, weight=lambda s: 100.0 if s == "a" else 1.0
@@ -237,10 +238,11 @@ class TestWeightedSampling:
     def test_zero_weight_avoided_when_possible(self):
         import random
 
+        from repro.automata.bitset import from_dfa
         from repro.automata.ops import regex_to_dfa, sample_word
         from repro.regex.parser import parse_regex
 
-        dfa = regex_to_dfa(parse_regex("(a | b)*"))
+        dfa = from_dfa(regex_to_dfa(parse_regex("(a | b)*")))
         for seed in range(10):
             word = sample_word(
                 dfa, random.Random(seed), weight=lambda s: 0.0 if s == "b" else 1.0
