@@ -170,8 +170,15 @@ class CompilationCache:
 
         Equal regexes intern to one shared object, so downstream
         identity-keyed memoization (including :meth:`digest` itself)
-        collapses across engines and documents.
+        collapses across engines and documents.  A copy of a structure
+        already seen is not remembered by identity, so interning
+        transient copies (a pattern schema's desugared targets) leaves
+        the identity table as it was.
         """
+        with self._lock:
+            digest = self._digests.get(r)
+            if digest is not None:
+                return self._interned[digest]
         digest = self.digest(r)
         with self._lock:
             return self._interned.setdefault(digest, r)

@@ -19,9 +19,12 @@ Mixed content is restricted to the paper's simple model: character data
 is allowed only where it forms a whole leaf (whitespace around child
 elements is ignored).
 
-Both directions are iterative: parsing runs over the expat event stream
-of :mod:`repro.stream.parser` (no recursion, so ≥10k-deep documents
-parse fine) and serialization drives an explicit stack.
+Both directions are iterative.  Parsing feeds the expat event stream of
+:mod:`repro.stream.parser` to :class:`repro.stream.builder.TreeBuilder`,
+the same builder the streaming driver extends, so whole documents, edit
+fragments, SOAP payloads and streamed documents are checked by one set
+of rules and fail with the same message.  Serialization drives an
+explicit stack.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ from typing import List
 from xml.sax.saxutils import escape, quoteattr
 
 from repro.doc.document import Document
-from repro.doc.names import FUN_TAG as _FUN
 from repro.doc.names import INT_NS
-from repro.doc.names import PARAM_TAG as _PARAM
-from repro.doc.names import PARAMS_TAG as _PARAMS
 from repro.doc.nodes import Element, FunctionCall, Node, Text
 
 __all__ = [
@@ -138,7 +138,6 @@ def document_from_xml(source: str) -> Document:
 
 def node_from_xml(source: str) -> Node:
     """Parse a single XML fragment into a document node."""
-    from repro.stream.builder import parse_raw, raw_tree
-    from repro.stream.parser import iter_events
+    from repro.stream.builder import build_node
 
-    return parse_raw(raw_tree(iter_events(source)))
+    return build_node(source)

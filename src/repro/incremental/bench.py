@@ -30,95 +30,17 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.axml.enforcement import SchemaEnforcer
 from repro.compile.cache import CompilationCache
-from repro.doc.builder import call, el, text
-from repro.doc.document import Document
-from repro.doc.nodes import Element, FunctionCall, Text
+from repro.doc.builder import el
 from repro.incremental.edits import DocEdit, replace, update_call
 from repro.incremental.session import full_receipt
 from repro.obs.context import observing
 from repro.obs.metrics import MetricsRegistry, work_snapshot
 from repro.obs.trace import NULL_TRACER
-from repro.schema.model import Schema, SchemaBuilder
-from repro.workloads.newspaper import (
-    FORECAST_ENDPOINT,
-    FORECAST_NS,
-    TIMEOUT_ENDPOINT,
-    TIMEOUT_NS,
-)
-
-
-def _schemas() -> Tuple[Schema, Schema]:
-    """(sender, receiver): the newspaper pair lifted under ``article*``."""
-
-    def base() -> SchemaBuilder:
-        return (
-            SchemaBuilder()
-            .element("title", "data")
-            .element("date", "data")
-            .element("temp", "data")
-            .element("city", "data")
-            .element("exhibit", "title.date")
-            .function("Get_Temp", "city", "temp")
-            .function("TimeOut", "data", "exhibit*")
-            .root("magazine")
-        )
-    sender = (
-        base()
-        .element("magazine", "article*")
-        .element(
-            "article", "title.date.(Get_Temp | temp).(TimeOut | exhibit*)"
-        )
-        .build()
-    )
-    receiver = (
-        base()
-        .element("magazine", "article*")
-        .element("article", "title.date.temp.(TimeOut | exhibit*)")
-        .build()
-    )
-    return sender, receiver
-
-
-def _article(index: int) -> Element:
-    """One intensional article whose ``Get_Temp`` must be materialized."""
-    return el(
-        "article",
-        el("title", "article-%d" % index),
-        el("date", "04/10/2002"),
-        call(
-            "Get_Temp",
-            el("city", "city-%d" % index),
-            endpoint=FORECAST_ENDPOINT,
-            namespace=FORECAST_NS,
-        ),
-        call(
-            "TimeOut",
-            text("exhibits-%d" % index),
-            endpoint=TIMEOUT_ENDPOINT,
-            namespace=TIMEOUT_NS,
-        ),
-    )
-
-
-def _magazine(articles: int) -> Document:
-    return Document(
-        el("magazine", *[_article(i) for i in range(articles)])
-    )
-
-
-def _invoker(fc: FunctionCall):
-    """Per-call deterministic service: answers are pure functions of the
-    call, the property the session's byte-identity contract needs."""
-    if fc.name == "Get_Temp":
-        seed = fc.params[0].children[0].value if fc.params else "?"
-        return (el("temp", "%d" % (sum(ord(c) for c in seed) % 40)),)
-    if fc.name == "TimeOut":
-        return (el("exhibit", el("title", "P"), el("date", "d")),)
-    raise ValueError("unexpected call %r" % fc.name)
+from repro.workloads import magazine
 
 
 def _storm(rng: random.Random, articles: int, edits: int) -> List[DocEdit]:
@@ -141,9 +63,9 @@ def _storm(rng: random.Random, articles: int, edits: int) -> List[DocEdit]:
 
 
 def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
-    sender, receiver = _schemas()
+    sender, receiver = magazine.schemas()
     rng = random.Random(seed)
-    document = _magazine(articles)
+    document = magazine.document(articles)
     storm = _storm(rng, articles, edits)
 
     shared_cc = CompilationCache()
@@ -151,12 +73,12 @@ def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
         target_schema=receiver, sender_schema=sender,
         k=1, mode="safe", compile_cache=shared_cc,
     )
-    session = enforcer.session(document, _invoker)
+    session = enforcer.session(document, magazine.invoker)
     session.enforce()  # the warm-up pass both paths get for free
 
     # Warm the full path's compile cache too, so the speedup measures
     # analysis/materialization reuse rather than automata compilation.
-    enforcer.enforce_document(session.document, _invoker)
+    enforcer.enforce_document(session.document, magazine.invoker)
 
     reanalyzed: List[int] = []
     identical = True
@@ -174,7 +96,7 @@ def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
         fresh = SchemaEnforcer(
             target_schema=receiver, sender_schema=sender,
             k=1, mode="safe", compile_cache=shared_cc,
-        ).enforce_document(current, _invoker)
+        ).enforce_document(current, magazine.invoker)
         full_elapsed += time.perf_counter() - started
         if outcome.receipt() != full_receipt(fresh):
             identical = False

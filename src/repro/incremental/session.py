@@ -8,10 +8,10 @@ over the edited document — while doing work proportional to the edit's
 locality, not the document's size.  Four reuse layers stack up:
 
 1. **compile cache** — automata artifacts (DFAs, expansions) and solved
-   games live in the enforcer's compilation cache (a fresh one per
-   session when the enforcer has none), so re-analyzed spine words
-   never recompile, and a game any engine on that cache solved is not
-   solved again;
+   games live in the enforcer's compilation cache (the ambient
+   process-wide one when the enforcer names none), so re-analyzed spine
+   words never recompile, and a game any engine on that cache solved is
+   not solved again;
 2. **analysis cache** — the engine's per-(word, target, dead) memo of
    solved games persists across edits, so an unchanged children word on
    the spine re-analyzes in O(1); a word it has not met yet is looked
@@ -362,30 +362,20 @@ class IncrementalOutcome:
         return self.error is None
 
     def receipt(self) -> dict:
-        """The fields a full re-enforcement must reproduce byte-for-byte.
-
-        Engine-internal cache accounting and wall times are excluded by
-        design — reuse is the whole point — but everything a peer can
-        observe is in: the document bytes, the verdict, the error text,
-        the invocation sequence (names, depths, output symbols,
-        backtracking), and the degradation set.
-        """
-        return {
-            "ok": self.ok,
-            "error": self.error,
-            "already_conformant": self.already_conformant,
-            "xml": None if self.document is None else self.document.to_xml(),
-            "calls_made": self.calls_made,
-            "invocations": [
-                (r.function, r.depth, r.output_symbols, r.backtracked)
-                for r in self.log.records
-            ],
-            "degraded": tuple(self.degraded_functions),
-        }
+        """This pass's :func:`full_receipt`."""
+        return full_receipt(self)
 
 
 def full_receipt(outcome) -> dict:
-    """The same comparison view computed from an ``EnforcementOutcome``."""
+    """The fields a full re-enforcement must reproduce byte-for-byte.
+
+    ``outcome`` is an :class:`IncrementalOutcome` or an
+    ``EnforcementOutcome``.  Engine-internal cache accounting and wall
+    times are excluded by design — reuse is the whole point — but
+    everything a peer can observe is in: the document bytes, the
+    verdict, the error text, the invocation sequence (names, depths,
+    output symbols, backtracking), and the degradation set.
+    """
     return {
         "ok": outcome.ok,
         "error": outcome.error,

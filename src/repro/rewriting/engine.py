@@ -19,6 +19,7 @@ the simulated service fabric.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,6 +29,7 @@ from repro.compile import context as compile_context
 from repro.doc.document import Document
 from repro.doc.nodes import Element, FunctionCall, Node, Text, symbol_of, with_children
 from repro.errors import (
+    DocumentTooDeepError,
     FunctionUnavailableError,
     NoPossibleRewritingError,
     NoSafeRewritingError,
@@ -184,19 +186,29 @@ class RewriteEngine:
 
         Raises :class:`NoSafeRewritingError` /
         :class:`NoPossibleRewritingError` when the requested guarantee
-        cannot be met, and :class:`RewriteExecutionError` when a possible
-        rewriting exhausts its backtracking options at run time.
+        cannot be met, :class:`RewriteExecutionError` when a possible
+        rewriting exhausts its backtracking options at run time, and
+        :class:`DocumentTooDeepError` when the document nests beyond the
+        recursion limit.
         """
         log = InvocationLog()
         stats = {"words": 0, "product": 0, "mode": SAFE}
         hits_before, misses_before = self.cache_stats
         with obs.tracer().span("document", mode=self.mode, k=self.k) as span:
-            invoker, exec_report = self._maybe_prefetch(document, invoker)
             root = document.root
+            try:
+                invoker, exec_report = self._maybe_prefetch(document, invoker)
+                if not isinstance(root, Text):
+                    new_root = self._rewrite_node(root, invoker, log, stats)
+            except RecursionError:
+                raise DocumentTooDeepError(
+                    "document nests too deeply to rewrite within the "
+                    "recursion limit (%d); enforce it as a stream"
+                    % sys.getrecursionlimit()
+                ) from None
             if isinstance(root, Text):
                 result = RewriteResult(document, log, SAFE)
             else:
-                new_root = self._rewrite_node(root, invoker, log, stats)
                 hits, misses = self.cache_stats
                 result = RewriteResult(
                     Document(new_root),
@@ -706,11 +718,16 @@ class RewriteEngine:
         return output_types, invocable
 
     def _desugared(self, target: Regex, word: Sequence[str]) -> Regex:
-        """Expand target-schema pattern atoms over the candidate functions."""
+        """Expand target-schema pattern atoms over the candidate functions.
+
+        The result is the compile cache's interned instance, so every
+        word with the same candidates shares one target.
+        """
         if not self.target_schema.patterns:
             return target
         candidates = self._candidates(word)
         schema = Schema({"__target__": target}, {}, dict(self.target_schema.patterns))
-        return schema.desugar_patterns(candidates, self._signature).label_types[
-            "__target__"
-        ]
+        return self._ccache().intern(
+            schema.desugar_patterns(candidates, self._signature)
+            .label_types["__target__"]
+        )

@@ -109,12 +109,12 @@ class InstanceChecker:
         """Does a children word belong to ``lang(expr)``, patterns included?"""
         entry = self._dfas.get(id(expr))
         if entry is None or entry[0] is not expr:
-            resolved = expr
-            if self.schema.patterns:
-                resolved = _substitute(expr, self._patterns())
             cache = self.compile_cache
             if cache is None:
                 cache = compile_context.cache()
+            resolved = expr
+            if self.schema.patterns:
+                resolved = cache.intern(_substitute(expr, self._patterns()))
             entry = (expr, cache.bit_target_dfa(
                 resolved, Alphabet.closure(regex_symbols(resolved))
             ))

@@ -26,87 +26,13 @@ from typing import Dict, List, Tuple
 
 from repro.axml.enforcement import SchemaEnforcer
 from repro.compile.cache import CompilationCache
-from repro.doc.builder import call, el, text
 from repro.doc.document import Document
-from repro.doc.nodes import FunctionCall
 from repro.obs.context import observing
 from repro.obs.memory import peak_rss_bytes, traced_peak
 from repro.obs.metrics import MetricsRegistry, work_snapshot
 from repro.obs.trace import NULL_TRACER
-from repro.schema.model import Schema, SchemaBuilder
-from repro.workloads.newspaper import (
-    FORECAST_ENDPOINT,
-    FORECAST_NS,
-    TIMEOUT_ENDPOINT,
-    TIMEOUT_NS,
-)
-
-
-def _schemas() -> Tuple[Schema, Schema]:
-    """(sender, receiver): the newspaper pair lifted under ``article*``."""
-
-    def base() -> SchemaBuilder:
-        return (
-            SchemaBuilder()
-            .element("title", "data")
-            .element("date", "data")
-            .element("temp", "data")
-            .element("city", "data")
-            .element("exhibit", "title.date")
-            .function("Get_Temp", "city", "temp")
-            .function("TimeOut", "data", "exhibit*")
-            .root("magazine")
-        )
-
-    sender = (
-        base()
-        .element("magazine", "article*")
-        .element(
-            "article", "title.date.(Get_Temp | temp).(TimeOut | exhibit*)"
-        )
-        .build()
-    )
-    receiver = (
-        base()
-        .element("magazine", "article*")
-        .element("article", "title.date.temp.(TimeOut | exhibit*)")
-        .build()
-    )
-    return sender, receiver
-
-
-def _article(index: int):
-    return el(
-        "article",
-        el("title", "article-%d" % index),
-        el("date", "04/10/2002"),
-        call(
-            "Get_Temp",
-            el("city", "city-%d" % index),
-            endpoint=FORECAST_ENDPOINT,
-            namespace=FORECAST_NS,
-        ),
-        call(
-            "TimeOut",
-            text("exhibits-%d" % index),
-            endpoint=TIMEOUT_ENDPOINT,
-            namespace=TIMEOUT_NS,
-        ),
-    )
-
-
-def _magazine(articles: int) -> Document:
-    return Document(el("magazine", *[_article(i) for i in range(articles)]))
-
-
-def _invoker(fc: FunctionCall):
-    """Pure function of the call — both paths see identical services."""
-    if fc.name == "Get_Temp":
-        seed = fc.params[0].children[0].value if fc.params else "?"
-        return (el("temp", "%d" % (sum(ord(c) for c in seed) % 40)),)
-    if fc.name == "TimeOut":
-        return (el("exhibit", el("title", "P"), el("date", "d")),)
-    raise ValueError("unexpected call %r" % fc.name)
+from repro.schema.model import Schema
+from repro.workloads import magazine
 
 
 def _chunks(xml: str, size: int = 1 << 14) -> List[str]:
@@ -146,20 +72,20 @@ def _receipt(outcome) -> Tuple:
 
 def _run_size(articles: int, receiver: Schema, sender: Schema,
               compile_cache: CompilationCache) -> Dict[str, object]:
-    xml = _magazine(articles).to_xml()
+    xml = magazine.document(articles).to_xml()
     chunks = _chunks(xml)
 
     def dom_pass():
         enforcer = _enforcer(receiver, sender, compile_cache)
         outcome = enforcer.enforce_document(
-            Document.from_xml(xml), _invoker
+            Document.from_xml(xml), magazine.invoker
         )
         return outcome, outcome.document.to_xml()
 
     def stream_pass():
         enforcer = _enforcer(receiver, sender, compile_cache)
         sink = _HashSink()
-        outcome = enforcer.enforce_stream(chunks, _invoker, sink.write)
+        outcome = enforcer.enforce_stream(chunks, magazine.invoker, sink.write)
         return outcome, sink
 
     started = time.perf_counter()
@@ -200,7 +126,7 @@ def _run_size(articles: int, receiver: Schema, sender: Schema,
 def run_stream_enforce(smoke: bool = False) -> dict:
     """The E27 payload (``BENCH_stream_enforce.json``)."""
     sizes = (20, 40, 80) if smoke else (100, 200, 400)
-    sender, receiver = _schemas()
+    sender, receiver = magazine.schemas()
     compile_cache = CompilationCache()  # warm automata across both paths
     registry = MetricsRegistry()
     with observing(NULL_TRACER, registry):

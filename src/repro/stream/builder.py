@@ -1,92 +1,45 @@
 """Event-driven construction of simple-model document trees.
 
-Two layers, both iterative (no recursion, so ≥10k-deep documents no
-longer exhaust the interpreter stack):
+:class:`TreeBuilder` is the one parser of the Active XML syntax: both
+:func:`repro.doc.xml_io.node_from_xml` (through :func:`build_node`) and
+the streaming driver of :mod:`repro.stream.enforce` feed it the events
+of :func:`repro.stream.parser.iter_events`.  It is iterative and holds
+only the root-to-cursor spine of open frames, so documents nested far
+beyond the recursion limit parse fine.
 
-- :func:`raw_tree` + :func:`parse_raw` — the DOM-equivalent path.  The
-  raw tree captures exactly what :mod:`xml.etree.ElementTree` would hand
-  the old recursive parser (tags, attributes, leading text, tails), and
-  :func:`parse_raw` replays the old parser's checks in the *same
-  depth-first walk order*, producing byte-identical error messages.
-  :func:`repro.doc.xml_io.node_from_xml` is built on this pair.
+``int:fun``, ``int:params`` and ``int:param`` get frames of their own,
+which enforce the Section 7 syntax as the events arrive:
 
-- :class:`TreeBuilder` — the streaming state machine.  It holds only
-  the root-to-cursor spine of open element frames; subclasses hook
-  element open/close to run per-word enforcement as elements close
-  (:mod:`repro.stream.enforce`).  Content inside ``int:fun`` subtrees
-  is captured raw and converted with :func:`parse_raw` when the
-  function element closes, so parameters are built exactly as the DOM
-  path builds them (including its quirks: text directly under
-  ``int:fun`` / ``int:params`` is ignored, and only the leading text of
-  an ``int:param`` participates in the mixed-content check).
+- ``int:fun`` needs a ``methodName``, holds at most one ``int:params``,
+  and ``int:params`` holds only ``int:param``;
+- text directly under ``int:fun`` or ``int:params`` is ignored;
+- an ``int:param`` holds one tree or its leading text (text after its
+  tree is ignored);
+- anywhere else, character data must form a whole leaf, and namespaced
+  elements and attributes are refused.
 
-The streaming machine raises the same *messages* as the DOM walk but
-checks eagerly (at the event that proves the violation), so on a
-document with several independent errors the two paths may report a
-different one first — see ``docs/STREAMING.md``.
+A violation of these rules raises :class:`DocumentParseError` at the
+event that proves it, so a document with several reports the first one
+in event order, on every path.  (A name the node model refuses, such as
+``methodName="#data"``, is reported when its call closes.)  The hooks a
+subclass overrides fire only outside call subtrees: a call's parameters
+are built as plain nodes and the call joins its parent whole, as one
+child.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.doc.names import FUN_TAG, PARAM_TAG, PARAMS_TAG
 from repro.doc.nodes import Element, FunctionCall, Node, Text
 from repro.errors import DocumentParseError
-from repro.stream.parser import END, START, TEXT, Event, iter_events
+from repro.stream.parser import START, TEXT, Event, iter_events
 
 _MIXED = "mixed content under <%s> is not part of the simple model"
 
 
-class RawNode:
-    """One captured element: what ElementTree would have built for it."""
-
-    __slots__ = ("tag", "attrs", "children", "text_parts", "tail_parts")
-
-    def __init__(self, tag: str, attrs: dict):
-        self.tag = tag
-        self.attrs = attrs
-        self.children: List["RawNode"] = []
-        self.text_parts: List[str] = []
-        self.tail_parts: List[str] = []
-
-    @property
-    def text(self) -> str:
-        return "".join(self.text_parts)
-
-    @property
-    def tail(self) -> str:
-        return "".join(self.tail_parts)
-
-
-def raw_tree(events: Iterable[Event]) -> RawNode:
-    """Assemble the raw element tree of one document, iteratively."""
-    root: Optional[RawNode] = None
-    stack: List[RawNode] = []
-    for kind, value, attrs in events:
-        if kind == START:
-            raw = RawNode(value, dict(attrs))
-            if stack:
-                stack[-1].children.append(raw)
-            elif root is None:
-                root = raw
-            stack.append(raw)
-        elif kind == TEXT:
-            if not stack:
-                continue  # prolog / epilog whitespace
-            top = stack[-1]
-            if top.children:
-                top.children[-1].tail_parts.append(value)
-            else:
-                top.text_parts.append(value)
-        else:
-            stack.pop()
-    if root is None:
-        raise DocumentParseError("malformed XML: no element found")
-    return root
-
-
-def _check_attributes(raw_tag: str, attrs: dict) -> Tuple[Tuple[str, str], ...]:
+def _attributes(attrs: dict) -> Tuple[Tuple[str, str], ...]:
     attributes = tuple(sorted(attrs.items()))
     for name, _value in attributes:
         if name.startswith("{"):
@@ -96,123 +49,36 @@ def _check_attributes(raw_tag: str, attrs: dict) -> Tuple[Tuple[str, str], ...]:
     return attributes
 
 
-def parse_raw(raw: RawNode) -> Node:
-    """Convert a raw tree to a document node, DOM-parser semantics.
-
-    The explicit task stack replays the recursive parser's depth-first
-    walk, so every check fires in the same order with the same message.
-    """
-    result: List[Node] = []
-    stack: list = [("elem", raw, result)]
-    while stack:
-        task = stack.pop()
-        op = task[0]
-        if op == "elem":
-            _, node, slot = task
-            if node.tag == FUN_TAG:
-                name = node.attrs.get("methodName")
-                if not name:
-                    raise DocumentParseError(
-                        "int:fun requires a methodName attribute"
-                    )
-                wrappers = [c for c in node.children if c.tag == PARAMS_TAG]
-                others = [c for c in node.children if c.tag != PARAMS_TAG]
-                if others:
-                    raise DocumentParseError(
-                        "int:fun may only contain int:params, found %r"
-                        % others[0].tag
-                    )
-                if len(wrappers) > 1:
-                    raise DocumentParseError(
-                        "int:fun may contain at most one int:params"
-                    )
-                fun_slot: List[Node] = []
-                stack.append(("exit-fun", node, slot, fun_slot))
-                for wrapper in reversed(wrappers):
-                    for param in reversed(wrapper.children):
-                        stack.append(("param", param, fun_slot))
-                continue
-            if node.tag in (PARAMS_TAG, PARAM_TAG):
-                raise DocumentParseError(
-                    "%s may only appear directly under int:fun" % node.tag
-                )
-            if node.tag.startswith("{"):
-                raise DocumentParseError(
-                    "unsupported namespaced element %r" % node.tag
-                )
-            leading = node.text.strip()
-            if leading and node.children:
-                raise DocumentParseError(_MIXED % node.tag)
-            my_slot: List[Node] = [Text(leading)] if leading else []
-            stack.append(("exit-elem", node, slot, my_slot))
-            for child in reversed(node.children):
-                stack.append(("tail", node.tag, child))
-                stack.append(("elem", child, my_slot))
-        elif op == "tail":
-            _, tag, child = task
-            if child.tail.strip():
-                raise DocumentParseError(_MIXED % tag)
-        elif op == "exit-elem":
-            _, node, slot, my_slot = task
-            attributes = _check_attributes(node.tag, node.attrs)
-            slot.append(Element(node.tag, tuple(my_slot), attributes))
-        elif op == "param":
-            _, param, fun_slot = task
-            if param.tag != PARAM_TAG:
-                raise DocumentParseError(
-                    "int:params may only contain int:param, found %r"
-                    % param.tag
-                )
-            inner_text = param.text.strip()
-            if param.children and inner_text:
-                raise DocumentParseError("mixed content inside int:param")
-            if len(param.children) > 1:
-                raise DocumentParseError(
-                    "int:param must wrap exactly one tree (found %d)"
-                    % len(param.children)
-                )
-            if param.children:
-                stack.append(("elem", param.children[0], fun_slot))
-            else:
-                fun_slot.append(Text(inner_text))
-        else:  # exit-fun
-            _, node, slot, fun_slot = task
-            slot.append(
-                FunctionCall(
-                    node.attrs["methodName"],
-                    tuple(fun_slot),
-                    endpoint=node.attrs.get("endpointURL"),
-                    namespace=node.attrs.get("namespaceURI"),
-                )
-            )
-    return result[0]
-
-
 class Frame:
-    """One open element on the streaming builder's spine."""
+    """One open element on the builder's spine.
 
-    __slots__ = ("label", "attrs", "children", "text_parts")
+    ``text`` is the element's leading character data (the parser
+    coalesces it into one event).  An ``int:fun`` frame's ``children``
+    stay ``None`` until its ``int:params`` closes and hands over the
+    parameters.
+    """
+
+    __slots__ = ("label", "attrs", "children", "text")
 
     def __init__(self, label: str, attrs: dict):
         self.label = label
         self.attrs = attrs
-        self.children: List[Node] = []
-        self.text_parts: List[str] = []
+        self.children: Optional[List[Node]] = []
+        self.text = ""
 
 
 class TreeBuilder:
-    """Streaming simple-model builder with per-element close hooks.
+    """Simple-model builder with per-element close hooks.
 
-    Feed it the events of :func:`repro.stream.parser.iter_events`; it
-    keeps one :class:`Frame` per open element.  Subclasses override
-    :meth:`enter_element`, :meth:`close_element` and
-    :meth:`child_closed` — the enforcement driver rewrites each frame's
-    children word inside :meth:`close_element`.
+    Feed it the events of :func:`repro.stream.parser.iter_events`.
+    Subclasses override :meth:`enter_element`, :meth:`close_element`
+    and :meth:`child_closed`; the enforcement driver rewrites each
+    frame's children word inside :meth:`close_element`.
     """
 
     def __init__(self):
         self._stack: List[Frame] = []
-        self._raw_stack: List[RawNode] = []
+        self._calls = 0  # open int:fun frames; hooks fire only at 0
         self._result: Optional[Node] = None
 
     # -- hooks -------------------------------------------------------------
@@ -233,71 +99,113 @@ class TreeBuilder:
 
     def feed(self, event: Event) -> None:
         kind, value, attrs = event
-        if self._raw_stack:
-            self._feed_raw(kind, value, attrs)
-            return
+        stack = self._stack
         if kind == TEXT:
-            if not self._stack:
-                return  # whitespace outside the root element
-            frame = self._stack[-1]
-            if frame.children:
-                if value.strip():
-                    raise DocumentParseError(_MIXED % frame.label)
-                return
-            frame.text_parts.append(value)
-            return
+            if stack:
+                frame = stack[-1]
+                label = frame.label
+                if label == FUN_TAG or label == PARAMS_TAG:
+                    return
+                if not frame.children:
+                    frame.text = value
+                elif label != PARAM_TAG and value.strip():
+                    raise DocumentParseError(_MIXED % label)
+            return  # text outside the root element is ignored
         if kind == START:
-            if self._stack:
-                frame = self._stack[-1]
-                if "".join(frame.text_parts).strip():
-                    raise DocumentParseError(_MIXED % frame.label)
-                frame.text_parts.clear()
-            if value == FUN_TAG:
-                self._raw_stack.append(RawNode(value, dict(attrs)))
-                return
-            if value in (PARAMS_TAG, PARAM_TAG):
-                raise DocumentParseError(
-                    "%s may only appear directly under int:fun" % value
-                )
-            if value.startswith("{"):
-                raise DocumentParseError(
-                    "unsupported namespaced element %r" % value
-                )
-            opened = Frame(value, attrs)
-            self._stack.append(opened)
-            self.enter_element(opened)
-            return
-        # END
-        frame = self._stack.pop()
-        leading = "".join(frame.text_parts).strip()
-        if not frame.children and leading:
-            frame.children.append(Text(leading))
-        attributes = _check_attributes(frame.label, frame.attrs)
-        node = self.close_element(frame, attributes)
-        self._add_child(node)
-
-    def _feed_raw(self, kind: str, value: str, attrs) -> None:
-        if kind == START:
-            raw = RawNode(value, dict(attrs))
-            self._raw_stack[-1].children.append(raw)
-            self._raw_stack.append(raw)
-        elif kind == TEXT:
-            top = self._raw_stack[-1]
-            if top.children:
-                top.children[-1].tail_parts.append(value)
-            else:
-                top.text_parts.append(value)
+            self._open(value, attrs)
         else:
-            raw = self._raw_stack.pop()
-            if not self._raw_stack:
-                self._add_child(parse_raw(raw))
+            self._close()
 
-    def _add_child(self, node: Node) -> None:
-        if self._stack:
-            self._stack[-1].children.append(node)
+    def _open(self, tag: str, attrs: dict) -> None:
+        stack = self._stack
+        parent = stack[-1].label if stack else None
+        if parent == FUN_TAG:
+            if tag != PARAMS_TAG:
+                raise DocumentParseError(
+                    "int:fun may only contain int:params, found %r" % tag
+                )
+            if stack[-1].children is not None:
+                raise DocumentParseError(
+                    "int:fun may contain at most one int:params"
+                )
+        elif parent == PARAMS_TAG:
+            if tag != PARAM_TAG:
+                raise DocumentParseError(
+                    "int:params may only contain int:param, found %r" % tag
+                )
+        else:
+            if parent is not None:
+                frame = stack[-1]
+                if frame.text.strip():
+                    raise DocumentParseError(
+                        "mixed content inside int:param"
+                        if parent == PARAM_TAG else _MIXED % parent
+                    )
+                frame.text = ""
+            if tag == FUN_TAG:
+                if not attrs.get("methodName"):
+                    raise DocumentParseError(
+                        "int:fun requires a methodName attribute"
+                    )
+            elif tag == PARAMS_TAG or tag == PARAM_TAG:
+                raise DocumentParseError(
+                    "%s may only appear directly under int:fun" % tag
+                )
+            elif tag.startswith("{"):
+                raise DocumentParseError(
+                    "unsupported namespaced element %r" % tag
+                )
+        opened = Frame(tag, attrs)
+        stack.append(opened)
+        if tag == FUN_TAG:
+            opened.children = None
+            self._calls += 1
+        elif not self._calls:
+            self.enter_element(opened)
+
+    def _close(self) -> None:
+        stack = self._stack
+        frame = stack.pop()
+        label = frame.label
+        children = frame.children
+        if label == PARAMS_TAG:
+            stack[-1].children = children
+            return
+        if label == FUN_TAG:
+            attrs = frame.attrs
+            try:
+                node: Node = FunctionCall(
+                    attrs["methodName"],
+                    tuple(children or ()),
+                    endpoint=attrs.get("endpointURL"),
+                    namespace=attrs.get("namespaceURI"),
+                )
+            except ValueError as exc:  # a reserved name such as "#data"
+                raise DocumentParseError(str(exc)) from None
+            self._calls -= 1
+        elif label == PARAM_TAG:
+            if len(children) > 1:
+                raise DocumentParseError(
+                    "int:param must wrap exactly one tree (found %d)"
+                    % len(children)
+                )
+            node = children[0] if children else Text(frame.text.strip())
+        else:
+            if not children:
+                leading = frame.text.strip()
+                if leading:
+                    children.append(Text(leading))
+            attributes = _attributes(frame.attrs)
+            if self._calls:
+                node = Element(label, tuple(children), attributes)
+            else:
+                node = self.close_element(frame, attributes)
+        if stack:
+            stack[-1].children.append(node)
         else:
             self._result = node
-        self.child_closed(node)
+        if not self._calls:
+            self.child_closed(node)
 
     def finish(self) -> Node:
         if self._result is None:
@@ -306,12 +214,12 @@ class TreeBuilder:
 
     @property
     def depth(self) -> int:
-        """Open-frame count (the spine length), raw capture included."""
-        return len(self._stack) + len(self._raw_stack)
+        """Open-frame count (the spine length)."""
+        return len(self._stack)
 
 
 def build_node(source, builder: Optional[TreeBuilder] = None) -> Node:
-    """Parse a document through the streaming builder."""
+    """Parse a document through the builder."""
     builder = builder if builder is not None else TreeBuilder()
     for event in iter_events(source):
         builder.feed(event)

@@ -123,6 +123,59 @@ class TestInterning:
         expr = parse_regex("(a|b)*.c")
         assert cc.digest(expr) == cc.digest(expr) == regex_digest(expr)
 
+    def test_equal_copies_are_not_remembered_by_identity(self):
+        cc = CompilationCache()
+        first = parse_regex("(a|b)*.c")
+        assert cc.intern(first) is first
+        for _ in range(100):
+            assert cc.intern(parse_regex("(a|b)*.c")) is first
+        assert len(cc._by_id) == 1
+
+    def test_pattern_schema_enforcements_keep_the_identity_table_bounded(self):
+        # A function-pattern target is desugared afresh for every word;
+        # the copies must not accumulate in the identity table.
+        base = (
+            SchemaBuilder().element("title", "data").element("date", "data")
+            .element("temp", "data").element("city", "data")
+            .element("exhibit", "title.date").root("newspaper")
+        )
+        sender = (
+            base.element(
+                "newspaper",
+                "title.date.(Get_Temp | temp).(TimeOut | exhibit*)",
+            )
+            .function("Get_Temp", "city", "temp")
+            .function("TimeOut", "data", "exhibit*")
+            .build()
+        )
+        target = (
+            SchemaBuilder().element("title", "data").element("date", "data")
+            .element("temp", "data").element("city", "data")
+            .element("exhibit", "title.date").root("newspaper")
+            .element("newspaper", "title.date.(Forecast | temp).exhibit*")
+            .pattern("Forecast", "city", "temp", lambda _name: True)
+            .build(strict=False)
+        )
+        cc = CompilationCache()
+        document = newspaper.document()
+
+        def invoker(_call):
+            return (el("exhibit", el("title", "P"), el("date", "d")),)
+
+        def enforce():
+            outcome = SchemaEnforcer(
+                target, sender, compile_cache=cc
+            ).enforce_document(document, invoker)
+            return (outcome.document.to_xml(), outcome.calls_made,
+                    outcome.cache_hits, outcome.cache_misses)
+
+        first = enforce()
+        assert first[1] == 1
+        size = len(cc._by_id)
+        for _ in range(999):
+            assert enforce() == first
+        assert len(cc._by_id) == size
+
     def test_keys_are_digests(self):
         cc = CompilationCache()
         assert cc.regex_key(parse_regex("a")) == regex_digest(parse_regex("a"))

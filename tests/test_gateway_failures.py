@@ -101,17 +101,25 @@ class TestMalformedRequests:
             assert reply.status == 400 and reply.error_code == "bad-request"
 
     def test_unparseable_document_is_400(self, gateway):
+        documents = [
+            "<broken <<xml",
+            # Well-formed, but the model refuses the reserved name.
+            '<a xmlns:int="http://www.activexml.com/ns/int">'
+            '<int:fun methodName="#data"/></a>',
+        ]
+
         async def go():
             client = GatewayClient(gateway.host, gateway.port)
             try:
-                return await client.exchange(
-                    "alice", "bob", "<broken <<xml"
-                )
+                return [
+                    await client.exchange("alice", "bob", document)
+                    for document in documents
+                ]
             finally:
                 await client.close()
 
-        reply = run(go())
-        assert reply.status == 400 and reply.error_code == "bad-request"
+        for reply in run(go()):
+            assert reply.status == 400 and reply.error_code == "bad-request"
 
 
 class TestOversizedDocuments:

@@ -379,3 +379,68 @@ class TestDeepDocuments:
             assert payload["reuse"]["verify_checked"] == depth
         finally:
             harness.stop()
+
+    def test_a_deep_document_needing_a_call_is_a_typed_failure(self):
+        # 2,000 levels above one call: the JSON and edit routes answer
+        # 422 enforcement-failed instead of dropping the connection,
+        # and the streamed route still enforces the document.
+        from repro.gateway.http import parse_chunked_response
+        from repro.schema import SchemaBuilder
+        from repro.xschema.writer import schema_to_xschema
+        from tests.test_gateway_stream import _raw, _stream_head
+
+        sender_xsd = schema_to_xschema(
+            SchemaBuilder().element("a", "a | F").element("x", "data")
+            .function("F", "data", "x").root("a").build()
+        )
+        receiver_xsd = schema_to_xschema(
+            SchemaBuilder().element("a", "a | x").element("x", "data")
+            .root("a").build()
+        )
+        depth = 2000
+        document_xml = (
+            '<a xmlns:int="http://www.activexml.com/ns/int">'
+            + "<a>" * (depth - 1)
+            + '<int:fun methodName="F"><int:params><int:param>v'
+            "</int:param></int:params></int:fun>"
+            + "</a>" * depth
+        )
+        harness = GatewayThread(GatewayConfig())
+        harness.start()
+        try:
+            async def go():
+                client = GatewayClient(harness.host, harness.port)
+                try:
+                    for name, xsd in (("deep-sender", sender_xsd),
+                                      ("deep-receiver", receiver_xsd)):
+                        reply = await client.register_peer(name, xsd)
+                        assert reply.status == 201, reply.body
+                    exchanged = await client.exchange(
+                        "deep-sender", "deep-receiver", document_xml
+                    )
+                    opened = await client.open_session(
+                        "deep-sender", "deep-receiver", "deep-doc",
+                        document_xml,
+                    )
+                finally:
+                    await client.close()
+                body = document_xml.encode("utf-8")
+                blob = await _raw(
+                    harness.host, harness.port,
+                    _stream_head("sender=deep-sender&receiver=deep-receiver",
+                                 length=len(body)),
+                    body,
+                )
+                return exchanged, opened, parse_chunked_response(blob)
+
+            exchanged, opened, (status, _, body, trailers) = run(go())
+            for reply in (exchanged, opened):
+                assert reply.status == 422, reply.body
+                assert reply.json()["error"] == "enforcement-failed"
+                assert "nests too deeply" in reply.json()["detail"]
+            assert status == 200
+            assert trailers.get("x-repro-ok") == "true", trailers
+            assert trailers.get("x-repro-calls") == "1"
+            assert body.count(b"<x>") == 1
+        finally:
+            harness.stop()

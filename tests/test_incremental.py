@@ -320,9 +320,9 @@ class TestInvalidationProperties:
 
     @pytest.mark.parametrize("pair", [(0, 3), (1, 5), (2, 4)])
     def test_disjoint_subtree_edits_commute(self, pair):
-        from repro.incremental.bench import _invoker, _magazine, _schemas
+        from repro.workloads import magazine
 
-        sender, receiver = _schemas()
+        sender, receiver = magazine.schemas()
         first, second = pair
         # One structural edit and one call edit, under different
         # articles of a 6-article magazine (guaranteed disjoint spines).
@@ -334,7 +334,7 @@ class TestInvalidationProperties:
                 target_schema=receiver, sender_schema=sender, k=1,
                 mode="safe", compile_cache=CompilationCache(),
             )
-            s = enforcer.session(_magazine(6), _invoker)
+            s = enforcer.session(magazine.document(6), magazine.invoker)
             s.enforce()
             outcomes = [s.apply([edit]) for edit in order]
             accounting = [
@@ -395,15 +395,14 @@ def _pass_counters(outcome):
 
 def _magazine_session(articles):
     from repro.incremental import bench as storm_bench
+    from repro.workloads import magazine
 
-    sender, receiver = storm_bench._schemas()
+    sender, receiver = magazine.schemas()
     enforcer = SchemaEnforcer(
         target_schema=receiver, sender_schema=sender, k=1, mode="safe",
         compile_cache=CompilationCache(),
     )
-    session = enforcer.session(
-        storm_bench._magazine(articles), storm_bench._invoker
-    )
+    session = enforcer.session(magazine.document(articles), magazine.invoker)
     return session, storm_bench
 
 
@@ -563,3 +562,49 @@ class TestDeepDocuments:
         assert (outcome.verify_checked, outcome.verify_reused) == (1500, 0)
         again = session.enforce()
         assert (again.verify_checked, again.verify_reused) == (0, 1)
+
+    def test_too_deep_to_rewrite_fails_typed_and_still_streams(self):
+        # 2,000 levels above one call: the DOM pass and the session
+        # recurse per level and fail with a typed error; the stream
+        # rewrites each word as its element closes and succeeds.
+        from repro.errors import DocumentTooDeepError
+        from repro.rewriting.engine import RewriteEngine
+        from repro.schema import SchemaBuilder
+
+        depth = 2000
+        sender = (
+            SchemaBuilder().element("a", "a | F").element("x", "data")
+            .function("F", "data", "x").root("a").build()
+        )
+        receiver = (
+            SchemaBuilder().element("a", "a | x").element("x", "data")
+            .root("a").build()
+        )
+        node = el("a", call("F", text("v")))
+        for _ in range(depth - 1):
+            node = el("a", node)
+        document = Document(node)
+
+        def invoker(fc):
+            return (el("x", "1"),)
+
+        cache = CompilationCache()
+        with pytest.raises(DocumentTooDeepError):
+            RewriteEngine(receiver, sender, compile_cache=cache).rewrite(
+                document, invoker
+            )
+        enforcer = SchemaEnforcer(receiver, sender, compile_cache=cache)
+        full = enforcer.enforce_document(document, invoker)
+        assert not full.ok and "nests too deeply" in full.error
+        outcome = enforcer.session(document, invoker).enforce()
+        assert outcome.receipt() == full_receipt(full)
+
+        parts = []
+        streamed = enforcer.enforce_stream(
+            document.to_xml(), invoker, parts.append
+        )
+        assert streamed.ok and streamed.calls_made == 1
+        leaf = Document.from_xml("".join(parts)).root
+        for _ in range(depth - 1):
+            (leaf,) = leaf.children
+        assert leaf == el("a", el("x", "1"))
