@@ -52,6 +52,7 @@ Architecture notes:
 from __future__ import annotations
 
 import asyncio
+import logging
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Optional, Set, Tuple
@@ -96,6 +97,8 @@ from repro.rewriting.plan import InvocationLog
 from repro.schema.patterns import allow_all, allow_only
 from repro.schema.validate import ValidationReport
 from repro.services.resilience import WallClock
+
+_log = logging.getLogger(__name__)
 
 #: Enforcement modes a request may ask for.
 MODES = ("safe", "possible", "auto")
@@ -331,6 +334,13 @@ class Gateway:
                     "repro_gateway_errors_total",
                     "Typed gateway errors by code",
                 ).inc(code="library-error")
+            except Exception as error:
+                # A fault of the gateway itself: still reply (typed 500
+                # ``internal``) and count it, so the connection survives.
+                _log.exception("unhandled error in %s", route)
+                response = self._error_response(GatewayError(
+                    "internal error (%s)" % type(error).__name__
+                ), request.path)
             span.set(status=response.status)
         elapsed = self.clock.now() - started
         self.metrics.counter(

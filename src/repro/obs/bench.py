@@ -149,7 +149,11 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
     The deterministic part is the touch census — spans and events one
     wide exchange emits (counted under ``SimulatedClock``, so
     byte-stable).  The wall-derived per-touch cost, estimated overhead
-    and fraction are recorded for humans and stripped by the differ.
+    and fraction are recorded for humans and stripped by the differ, as
+    is the enabled cost: the same exchange under a real tracer and
+    registry (``traced_exchange_seconds``, interleaved with the untraced
+    runs) and one ``node`` span through the span bridge
+    (``enabled_touch_seconds``).
     """
     from repro import (
         AXMLPeer,
@@ -189,14 +193,25 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
         assert receipt.accepted
         return receipt
 
-    # Wall time of the exchange with the default null sinks.
+    def timed(sinks) -> float:
+        with observing(*sinks):
+            started = time.perf_counter()
+            run_exchange()
+            return time.perf_counter() - started
+
+    # Wall time of the exchange with the default null sinks, interleaved
+    # with the same exchange under the sinks `repro serve` installs.
     with compiling(CompilationCache()):
         run_exchange()  # warm (compiles paid once)
+    null_sinks = (NULL_TRACER, NULL_METRICS)
+    real_sinks = (Tracer(capacity=4096), MetricsRegistry())
+    untraced, traced = [], []
     with compiling(CompilationCache()):
         run_exchange()
-        started = time.perf_counter()
-        run_exchange()
-        exchange_seconds = time.perf_counter() - started
+        for _ in range(3):
+            untraced.append(timed(null_sinks))
+            traced.append(timed(real_sinks))
+    exchange_seconds = sorted(untraced)[1]
     # Deterministic touch census + work counters, traced.
     tracer = Tracer(clock=SimulatedClock(), capacity=100_000)
     registry = MetricsRegistry()
@@ -213,6 +228,14 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
         NULL_TRACER.event("attempt", n=1)
         NULL_METRICS.counter("c", "h").inc(function="f")
     per_touch = (time.perf_counter() - started) / iterations
+    # Per enabled touch: one node span, bridged into the registry.
+    enabled = Tracer(capacity=4096)
+    enabled.add_hook(MetricsRegistry().span_observer())
+    started = time.perf_counter()
+    for _ in range(iterations):
+        with enabled.span("node", word="w", length=1) as span:
+            span.set(mode="safe")
+    enabled_touch = (time.perf_counter() - started) / iterations
     fraction = (len(spans) + events) * per_touch / exchange_seconds
     max_fraction = 0.05
     return {
@@ -225,7 +248,9 @@ def bench_obs_overhead(smoke: bool = False) -> dict:
         "spans_per_exchange": len(spans),
         "events_per_exchange": events,
         "exchange_seconds": round(exchange_seconds, 6),
+        "traced_exchange_seconds": round(sorted(traced)[1], 6),
         "null_touch_seconds": round(per_touch, 9),
+        "enabled_touch_seconds": round(enabled_touch, 9),
         "overhead_fraction": round(fraction, 6),
         "within_budget": fraction < max_fraction,
         "work": {"default": work_snapshot(registry)},

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .quantile import DEFAULT_QUANTILES, QuantileSketch
@@ -35,6 +37,9 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: dict) -> LabelKey:
+    if len(labels) == 1:  # the common case needs no sort
+        ((name, value),) = labels.items()
+        return ((str(name), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -72,7 +77,10 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
+        self._add(_label_key(labels), amount)
+
+    def _add(self, key: LabelKey, amount: float = 1.0) -> None:
+        """:meth:`inc` for a label set already normalized by the caller."""
         with self._lock:
             self.values[key] = self.values.get(key, 0.0) + amount
 
@@ -108,42 +116,59 @@ class Histogram:
     always equals ``totals[key]``; keeping it explicit means the bucket
     vector alone carries the full distribution (earlier versions derived
     +Inf from ``totals`` at export time, and over-max observations
-    silently vanished from ``counts``).
+    silently vanished from ``counts``).  An observation increments the
+    one per-bucket tally ``bisect`` finds; ``counts`` accumulates the
+    tallies when read.
 
-    Each label set also feeds a streaming :class:`QuantileSketch`
-    (p50/p95/p99 by default), readable via :meth:`quantile` /
-    :meth:`quantiles` and preserved through the JSONL round-trip.
+    Each label set also feeds a streaming :class:`QuantileSketch` of
+    the ``quantiles`` the histogram tracks (p50/p95/p99 by default),
+    readable via :meth:`quantile` / :meth:`quantiles` and preserved
+    through the JSONL round-trip.  ``quantiles=()`` tracks none: each
+    observation then costs a bucket search and three additions instead
+    of three P² updates.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "",
-                 buckets: Tuple[float, ...] = SIZE_BUCKETS):
+                 buckets: Tuple[float, ...] = SIZE_BUCKETS,
+                 quantiles: Tuple[float, ...] = DEFAULT_QUANTILES):
         self.name = name
         self.help = help
         self.buckets = tuple(sorted(buckets))
-        self.counts: Dict[LabelKey, List[int]] = {}
+        self.tracked = tuple(float(q) for q in quantiles)
+        self._tallies: Dict[LabelKey, List[int]] = {}
         self.sums: Dict[LabelKey, float] = {}
         self.totals: Dict[LabelKey, int] = {}
         self.sketches: Dict[LabelKey, QuantileSketch] = {}
         self._lock = threading.Lock()
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        self._add(_label_key(labels), value)
+
+    def _add(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` for a label set already normalized by the
+        caller."""
         with self._lock:
-            counts = self.counts.get(key)
-            if counts is None:
-                counts = self.counts[key] = [0] * (len(self.buckets) + 1)
+            tally = self._tallies.get(key)
+            if tally is None:
+                tally = self._tallies[key] = [0] * (len(self.buckets) + 1)
                 self.sums[key] = 0.0
                 self.totals[key] = 0
-                self.sketches[key] = QuantileSketch()
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
-            counts[-1] += 1  # the +Inf bucket catches everything
+                self.sketches[key] = QuantileSketch(self.tracked)
+            # The first bound >= value; past every bound, the +Inf slot.
+            tally[bisect_left(self.buckets, value)] += 1
             self.sums[key] += value
             self.totals[key] += 1
-            self.sketches[key].observe(value)
+            if self.tracked:
+                self.sketches[key].observe(value)
+
+    @property
+    def counts(self) -> Dict[LabelKey, List[int]]:
+        """The cumulative bucket counts of every label set."""
+        with self._lock:
+            return {key: list(accumulate(tally))
+                    for key, tally in self._tallies.items()}
 
     def count(self, **labels) -> int:
         return self.totals.get(_label_key(labels), 0)
@@ -162,12 +187,13 @@ class Histogram:
         """All tracked quantile estimates for one label set."""
         sketch = self.sketches.get(_label_key(labels))
         if sketch is None:
-            return {q: None for q in DEFAULT_QUANTILES}
+            return {q: None for q in self.tracked}
         return sketch.quantiles()
 
     def samples(self) -> Iterable[Tuple[str, float]]:
-        for key in sorted(self.counts):
-            cumulative = self.counts[key]
+        counts = self.counts
+        for key in sorted(counts):
+            cumulative = counts[key]
             for bound, count in zip(self.buckets, cumulative):
                 yield (
                     self.name + "_bucket"
@@ -213,10 +239,14 @@ class MetricsRegistry:
         return self._get(name, lambda: Gauge(name, help), "gauge")
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Tuple[float, ...]] = None) -> Histogram:
+                  buckets: Optional[Tuple[float, ...]] = None,
+                  quantiles: Tuple[float, ...] = DEFAULT_QUANTILES,
+                  ) -> Histogram:
+        """The histogram ``name``; ``buckets`` and ``quantiles`` apply
+        only when this call creates it."""
         return self._get(
             name,
-            lambda: Histogram(name, help, buckets or SIZE_BUCKETS),
+            lambda: Histogram(name, help, buckets or SIZE_BUCKETS, quantiles),
             "histogram",
         )
 
@@ -239,17 +269,29 @@ class MetricsRegistry:
         ``repro_span_seconds{name=...}`` latency histogram — which is
         where rewrite latency, invocation latency and validation timing
         come from.
+
+        It runs once per finished span, so it is kept cheap: each span
+        name's label key is built once, and ``repro_span_seconds``
+        tracks no quantiles.  Nothing reads them: the Prometheus text
+        carries buckets, sum and count, and :meth:`summary` hides the
+        quantiles of a histogram with more than one series.
         """
         spans = self.counter("repro_spans_total", "Finished spans by name")
         seconds = self.histogram(
-            "repro_span_seconds", "Span wall time by name", TIME_BUCKETS
+            "repro_span_seconds", "Span wall time by name", TIME_BUCKETS,
+            quantiles=(),
         )
+        keys: Dict[str, LabelKey] = {}
 
         def observe(span) -> None:
-            spans.inc(name=span.name)
+            key = keys.get(span.name)
+            if key is None:
+                key = keys.setdefault(span.name,
+                                      _label_key({"name": span.name}))
+            spans._add(key)
             duration = span.duration
             if duration is not None:
-                seconds.observe(duration, name=span.name)
+                seconds._add(key, duration)
 
         return observe
 
@@ -273,12 +315,13 @@ class MetricsRegistry:
         for name in sorted(self._metrics):
             metric = self._metrics[name]
             if isinstance(metric, Histogram):
-                for key in sorted(metric.counts):
+                counts = metric.counts
+                for key in sorted(counts):
                     lines.append(json.dumps({
                         "name": name, "type": metric.kind,
                         "help": metric.help, "labels": dict(key),
                         "buckets": list(metric.buckets),
-                        "counts": list(metric.counts[key]),
+                        "counts": counts[key],
                         "sum": metric.sums[key], "count": metric.totals[key],
                         "sketch": metric.sketches[key].to_dict(),
                     }, sort_keys=True))
@@ -301,9 +344,13 @@ class MetricsRegistry:
             record = json.loads(line)
             name, labels = record["name"], record["labels"]
             if record["type"] == "histogram":
+                # Every series of a histogram tracks the same quantiles,
+                # so its sketch also restores the histogram's set.
+                sketch = (QuantileSketch.from_dict(record["sketch"])
+                          if "sketch" in record else QuantileSketch())
                 histogram = registry.histogram(
                     name, record.get("help", ""),
-                    tuple(record["buckets"]),
+                    tuple(record["buckets"]), quantiles=sketch.tracked,
                 )
                 key = _label_key(labels)
                 counts = list(record["counts"])
@@ -311,15 +358,12 @@ class MetricsRegistry:
                     # Legacy record without the explicit +Inf slot: the
                     # overflow bucket is cumulative, i.e. the total count.
                     counts.append(int(record["count"]))
-                histogram.counts[key] = counts
+                histogram._tallies[key] = [
+                    now - before for before, now in zip([0] + counts, counts)
+                ]
                 histogram.sums[key] = record["sum"]
                 histogram.totals[key] = record["count"]
-                if "sketch" in record:
-                    histogram.sketches[key] = QuantileSketch.from_dict(
-                        record["sketch"]
-                    )
-                else:
-                    histogram.sketches[key] = QuantileSketch()
+                histogram.sketches[key] = sketch
             elif record["type"] == "gauge":
                 registry.gauge(name, record.get("help", "")).set(
                     record["value"], **labels
@@ -412,7 +456,7 @@ class NullMetricsRegistry:
         return _NULL_METRIC
 
     def histogram(self, name: str = "", help: str = "",
-                  buckets=None) -> _NullMetric:
+                  buckets=None, quantiles=DEFAULT_QUANTILES) -> _NullMetric:
         return _NULL_METRIC
 
     def get(self, _name: str) -> None:

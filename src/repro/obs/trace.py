@@ -22,8 +22,9 @@ Design constraints, in order:
   ``dropped`` counts them), so a long-lived peer cannot leak memory.
 - **concurrency-safe**: the open-span stack is *per thread*
   (``threading.local``), so spans produced by the concurrent
-  materialization scheduler's workers never interleave parents; id
-  allocation and the sink are lock-protected.  Worker spans attach under
+  materialization scheduler's workers never interleave parents; ids
+  come from an ``itertools.count`` (atomic under the GIL) and the sink
+  is lock-protected.  Worker spans attach under
   a chosen parent with the explicit ``parent_id=`` argument of
   :meth:`Tracer.span` / :meth:`Tracer.start`, since a pool thread does
   not inherit the submitting thread's stack.
@@ -36,6 +37,7 @@ Export formats: JSONL (one span object per line, re-importable with
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -68,9 +70,14 @@ class SpanEvent:
                 "attributes": dict(self.attributes)}
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Span:
-    """One timed operation in the exchange hierarchy."""
+    """One timed operation in the exchange hierarchy.
+
+    Spans compare by identity: :meth:`Tracer.finish` looks a span up on
+    the open-span stack, and field-wise equality would compare every
+    attribute and event of each deeper open span.
+    """
 
     span_id: int
     parent_id: Optional[int]
@@ -79,6 +86,8 @@ class Span:
     attributes: Dict[str, object] = field(default_factory=dict)
     events: List[SpanEvent] = field(default_factory=list)
     end: Optional[float] = None
+    #: Set once the span is in the sink (the double-finish guard).
+    _sunk: bool = field(default=False, init=False, repr=False)
 
     @property
     def duration(self) -> Optional[float]:
@@ -116,8 +125,8 @@ class _ActiveSpan:
         self._span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer.start(
-            self._name, parent_id=self._parent_id, **self._attributes
+        self._span = self._tracer._open(
+            self._name, self._parent_id, self._attributes
         )
         return self._span
 
@@ -153,13 +162,14 @@ class Tracer:
         self.capacity = capacity
         self._finished: deque = deque(maxlen=capacity)
         self._local = threading.local()  # per-thread open-span stack
-        self._lock = threading.Lock()  # guards ids, sink, hooks, dropped
-        self._next_id = 1
-        self._hooks: List[Callable[[Span], None]] = []
+        self._lock = threading.Lock()  # guards the sink, dropped, add_hook
+        self._ids = itertools.count(1)
+        # A tuple, replaced whole by add_hook: finish reads it unlocked.
+        self._hooks: Tuple[Callable[[Span], None], ...] = (
+            (on_span_end,) if on_span_end is not None else ()
+        )
         self._bridged: List[object] = []  # metrics registries already wired
         self.dropped = 0
-        if on_span_end is not None:
-            self._hooks.append(on_span_end)
 
     def _stack(self) -> List[Span]:
         """The calling thread's own open-span stack."""
@@ -181,37 +191,39 @@ class Tracer:
 
     def start(self, name: str, parent_id=_UNSET, **attributes) -> Span:
         """Open a span without a ``with`` block (pair with :meth:`finish`)."""
+        return self._open(name, parent_id, attributes)
+
+    def _open(self, name: str, parent_id, attributes: dict) -> Span:
+        """Open a span that owns ``attributes`` (a fresh dict)."""
         stack = self._stack()
         if parent_id is _UNSET:
-            parent = stack[-1].span_id if stack else None
-        else:
-            parent = parent_id
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        span = Span(span_id, parent, name, self.clock.now(), dict(attributes))
+            parent_id = stack[-1].span_id if stack else None
+        span = Span(next(self._ids), parent_id, name, self.clock.now(),
+                    attributes)
         stack.append(span)
         return span
 
     def finish(self, span: Optional[Span]) -> None:
         """Close a span: timestamp it, sink it, run the profiling hooks."""
-        if span is None or getattr(span, "_sunk", False):
+        if span is None or span._sunk:
             return  # finished twice; keep the first sink entry authoritative
         span.end = self.clock.now()
         stack = self._stack()
-        try:
-            stack.remove(span)
-        except ValueError:
-            pass  # finished off its opening thread; still sink it once
+        if stack and stack[-1] is span:
+            stack.pop()
+        else:  # closed out of order, or off its opening thread
+            for index in range(len(stack) - 1, -1, -1):
+                if stack[index] is span:
+                    del stack[index]
+                    break
         with self._lock:
-            if getattr(span, "_sunk", False):
+            if span._sunk:
                 return  # lost a concurrent double-finish race
-            span._sunk = True  # type: ignore[attr-defined]
+            span._sunk = True
             if len(self._finished) == self._finished.maxlen:
                 self.dropped += 1
             self._finished.append(span)
-            hooks = tuple(self._hooks)
-        for hook in hooks:  # outside the lock: hooks may be slow
+        for hook in self._hooks:  # outside the lock: hooks may be slow
             hook(span)
 
     def current(self) -> Optional[Span]:
@@ -229,7 +241,7 @@ class Tracer:
     def add_hook(self, hook: Callable[[Span], None]) -> None:
         """Register another per-span-end profiling callback."""
         with self._lock:
-            self._hooks.append(hook)
+            self._hooks = self._hooks + (hook,)
 
     # -- the sink ---------------------------------------------------------
 

@@ -296,7 +296,7 @@ class RewriteEngine:
             return None
         try:
             target = self._desugared(target, word)
-            return self._cached(SAFE, word, target, frozenset())
+            return self._cached(SAFE, word, target, frozenset())[0]
         except Exception:
             # Planning must be harmless: a word the driver would reject
             # (or fall back on) simply is not prefetched.
@@ -433,10 +433,13 @@ class RewriteEngine:
         with span_context as span:
             while True:
                 try:
-                    result = self._rewrite_word_once(
+                    result, hit = self._rewrite_word_once(
                         children, word, target, invoker, log, stats, dead
                     )
-                    span.set(mode=stats["mode"])
+                    if hit:
+                        span.set(mode=stats["mode"], cache="hit")
+                    else:
+                        span.set(mode=stats["mode"])
                     return result
                 except FunctionUnavailableError as fault:
                     name = getattr(fault, "function", "")
@@ -459,25 +462,27 @@ class RewriteEngine:
         log,
         stats,
         dead,
-    ) -> Tuple[Node, ...]:
+    ) -> Tuple[Tuple[Node, ...], bool]:
         """One analyze-and-execute pass over a children word.
 
-        A warm word costs one analysis-cache probe.  When the solved
-        analysis attached no signature copy, nothing can be invoked: the
-        product path is the word's own path, ``exists`` says it ends
-        unmarked, and the strategy would return the children unchanged,
-        so the walk is skipped.
+        Returns the new children and whether the per-document memo
+        answered the analysis they were rewritten with.  A warm word
+        costs one analysis-cache probe.  When the solved analysis
+        attached no signature copy, nothing can be invoked: the product
+        path is the word's own path, ``exists`` says it ends unmarked,
+        and the strategy would return the children unchanged, so the
+        walk is skipped.
         """
         if self.mode in (SAFE, AUTO):
-            analysis = self._cached(SAFE, word, target, dead)
+            analysis, hit = self._cached(SAFE, word, target, dead)
             stats["product"] += analysis.stats.product_nodes
             if analysis.exists:
                 if not analysis.expansion.copies:
-                    return children
+                    return children, hit
                 new_children, _ = execute_safe(
                     analysis, children, invoker, log, self.cost_model.cost_of
                 )
-                return new_children
+                return new_children, hit
             if self.mode == SAFE:
                 raise NoSafeRewritingError(
                     "children word %s has no safe %d-depth rewriting into %s"
@@ -485,7 +490,7 @@ class RewriteEngine:
                 )
             stats["mode"] = POSSIBLE
 
-        analysis = self._cached(POSSIBLE, word, target, dead)
+        analysis, hit = self._cached(POSSIBLE, word, target, dead)
         stats["product"] += analysis.stats.product_nodes
         if not analysis.exists:
             raise NoPossibleRewritingError(
@@ -502,7 +507,7 @@ class RewriteEngine:
         new_children, _ = execute_possible(
             analysis, children, invoker, log, self.cost_model.cost_of
         )
-        return new_children
+        return new_children, hit
 
     # -- static analysis (no invocations) -----------------------------------
 
@@ -581,9 +586,14 @@ class RewriteEngine:
         problem's first occurrence in a rewrite is a miss whether it was
         solved or found in the store, so receipts stay a function of the
         request, not of what the process solved before.
+
+        Returns ``(analysis, hit)``; a hit is counted in
+        ``repro_analysis_cache_total`` and becomes the ``node`` span's
+        ``cache="hit"`` attribute (:meth:`_rewrite_word`).
         """
         if not self.cache:
-            return self._analyzed(kind, word, target, dead, shared=False)
+            analysis = self._analyzed(kind, word, target, dead, shared=False)
+            return analysis, False
         key = (kind, word, self._ccache().regex_key(target), frozenset(dead))
         with self._cache_lock:
             analysis = self._analysis_cache.get(key)
@@ -597,15 +607,13 @@ class RewriteEngine:
             # them (a racing duplicate is discarded by setdefault).
             analysis = self._analyzed(kind, word, target, dead, shared=True)
             with self._cache_lock:
-                analysis = self._analysis_cache.setdefault(key, analysis)
-        else:
-            obs.tracer().event("analysis.cache", kind=kind, outcome="hit")
-            metrics = obs.metrics()
-            if metrics.enabled:
-                metrics.counter(
-                    "repro_analysis_cache_total", "Analysis cache lookups"
-                ).inc(outcome="hit")
-        return analysis
+                return self._analysis_cache.setdefault(key, analysis), False
+        metrics = obs.metrics()
+        if metrics.enabled:
+            metrics.counter(
+                "repro_analysis_cache_total", "Analysis cache lookups"
+            ).inc(outcome="hit")
+        return analysis, True
 
     def _analyzed(self, kind: str, word, target, dead, shared: bool):
         """One word analysis under an ``analysis`` span.

@@ -74,6 +74,7 @@ def iter_events(source: Source) -> Iterator[Event]:
     parser.EndElementHandler = handle_end
     parser.CharacterDataHandler = text_parts.append
 
+    error: Optional[expat.ExpatError] = None
     try:
         for chunk in chunks:
             parser.Parse(chunk, False)
@@ -82,6 +83,10 @@ def iter_events(source: Source) -> Iterator[Event]:
                 events.clear()
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
-        raise DocumentParseError("malformed XML: %s" % exc) from exc
-    if events:
-        yield from events
+        error = exc
+    # The events expat delivered before an error come first, so the
+    # first fault a document reports does not depend on its chunking.
+    # Text no later tag closed is not among them.
+    yield from events
+    if error is not None:
+        raise DocumentParseError("malformed XML: %s" % error) from error

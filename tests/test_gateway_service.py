@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.gateway import GatewayClient, GatewayConfig, GatewayThread
+from repro.gateway.http import parse_chunked_response
 from repro.gateway.loadgen import OBLIGATIONS, _scenario, direct_enforcement
 
 SENDER_XSD, RECEIVER_XSD, DOCUMENT_XML = _scenario()
@@ -362,6 +363,112 @@ class TestMetrics:
         assert p99 is not None and p99 > 0
         # Enforcement work counters flow into the gateway's registry.
         assert "repro_work_total" in text
+
+
+def _node_spans(metrics_text: str):
+    """(repro_spans_total, repro_span_seconds_count) for ``node``."""
+    samples = dict(line.rsplit(" ", 1) for line in metrics_text.splitlines()
+                   if not line.startswith("#"))
+    return tuple(float(samples.get(series + '{name="node"}', 0))
+                 for series in ("repro_spans_total",
+                                "repro_span_seconds_count"))
+
+
+class TestEnforcementSpans:
+    def test_every_exchange_route_traces_its_words(self, gateway):
+        # repro serve traces every request: the JSON, streaming and
+        # edit-script routes each add node spans (one per children word),
+        # and the span bridge counts each of them once in both series.
+        from repro.doc.nodes import Element, Text
+        from repro.incremental.edits import replace, script_to_json
+
+        async def streamed():
+            reader, writer = await asyncio.open_connection(
+                gateway.host, gateway.port
+            )
+            body = DOCUMENT_XML.encode("utf-8")
+            writer.write((
+                "POST /exchange?sender=alice&receiver=bob&seed=11 HTTP/1.1"
+                "\r\nHost: gw\r\nContent-Type: application/xml\r\n"
+                "Content-Length: %d\r\nConnection: close\r\n\r\n"
+                % len(body)
+            ).encode("latin-1") + body)
+            await writer.drain()
+            blob = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            return parse_chunked_response(blob)
+
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            counts = [_node_spans(await client.metrics_text())]
+            try:
+                reply = await client.exchange("alice", "bob", DOCUMENT_XML,
+                                              seed=11)
+                assert reply.status == 200, reply.body
+                counts.append(_node_spans(await client.metrics_text()))
+                status, _headers, _body, trailers = await streamed()
+                assert status == 200 and trailers["x-repro-ok"] == "true"
+                counts.append(_node_spans(await client.metrics_text()))
+                reply = await client.open_session(
+                    "alice", "bob", "doc-1", DOCUMENT_XML, seed=11
+                )
+                assert reply.status == 200, reply.body
+                script = script_to_json(
+                    [replace((0,), Element("title", (Text("The Moon"),)))]
+                )
+                reply = await client.apply_edits("alice", "bob", "doc-1",
+                                                 script)
+                assert reply.status == 200, reply.body
+                counts.append(_node_spans(await client.metrics_text()))
+                return counts
+            finally:
+                await client.close()
+
+        counts = run(go())
+        assert counts[0] == (0.0, 0.0)
+        for before, after in zip(counts, counts[1:]):
+            assert after[0] > before[0]
+        for spans_total, seconds_count in counts:
+            assert spans_total == seconds_count
+        # The request and exchange latency histograms keep their
+        # quantiles; only the span histogram tracks none.
+        metrics = gateway.gateway.metrics
+        assert metrics.get("repro_gateway_request_seconds").tracked \
+            == (0.5, 0.95, 0.99)
+        assert metrics.get("repro_gateway_exchange_seconds").quantile(
+            0.99, mode="safe") > 0
+        assert metrics.get("repro_span_seconds").tracked == ()
+
+
+class TestInternalErrors:
+    def test_an_untyped_route_error_is_a_typed_500_and_the_connection_lives(
+        self, gateway
+    ):
+        async def broken(_request):
+            raise RuntimeError("a bug in a route")
+
+        gateway.gateway._routes[("GET", "/healthz")] = broken
+
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            try:
+                failed = await client.request("GET", "/healthz")
+                writer = client._writer
+                peers = await client.request("GET", "/peers")
+                assert client._writer is writer  # the same connection
+                return failed, peers, await client.metrics_text()
+            finally:
+                await client.close()
+
+        failed, peers, metrics = run(go())
+        assert failed.status == 500
+        assert failed.json() == {"error": "internal",
+                                 "detail": "internal error (RuntimeError)",
+                                 "status": 500}
+        assert peers.status == 200
+        assert 'repro_gateway_errors_total{code="internal"} 1' in metrics
+        assert ('repro_gateway_requests_total{route="GET /healthz",'
+                'status="500"} 1') in metrics
 
 
 class TestSnapshots:

@@ -21,6 +21,7 @@ from repro.obs import (
     uninstall,
 )
 from repro.obs.metrics import TIME_BUCKETS
+from repro.obs.trace import Span
 from repro.services.resilience import SimulatedClock
 
 
@@ -437,3 +438,118 @@ class TestConcurrency:
             thread.join(timeout=30)
         assert m.counter("c", "test").value(kind="x") == n_threads * per_thread
         assert m.histogram("h", "test").count() == n_threads * per_thread
+
+    def test_sixteen_threads_under_constant_preemption(self):
+        # Ids come from an itertools.count and the hooks are read without
+        # the lock; with more threads than cores and a GIL switch forced
+        # every microsecond, no id may repeat or go missing, no span may
+        # escape both the sink and the ``dropped`` count, the bridge must
+        # see each span once, and no span may adopt another thread's.
+        import sys
+        import threading
+
+        n_threads, rounds = 16, 60
+        registry = MetricsRegistry()
+        t = Tracer(capacity=500, on_span_end=registry.span_observer())
+        barrier = threading.Barrier(n_threads)
+        opened = [[] for _ in range(n_threads)]
+
+        def worker(index):
+            mine = opened[index]
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                with t.span("outer", thread=index) as outer:
+                    with t.span("inner", thread=index) as inner:
+                        mine.append((inner.span_id, inner.parent_id))
+                    # Closed out of order: the identity scan's path.
+                    first = t.start("a", thread=index)
+                    second = t.start("b", thread=index)
+                    t.finish(first)
+                    t.finish(second)
+                    mine += [(first.span_id, first.parent_id),
+                             (second.span_id, second.parent_id)]
+                mine.append((outer.span_id, outer.parent_id))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+
+        n = n_threads * rounds * 4
+        ids = [span_id for mine in opened for span_id, _ in mine]
+        assert sorted(ids) == list(range(1, n + 1))
+        assert len(t.finished()) + t.dropped == n
+        assert t.dropped == n - 500
+        spans_total = registry.counter("repro_spans_total")
+        assert spans_total.total == n
+        assert sum(registry.histogram("repro_span_seconds").totals.values()) \
+            == n
+        owner = {span_id: index for index, mine in enumerate(opened)
+                 for span_id, _ in mine}
+        for index, mine in enumerate(opened):
+            for _span_id, parent_id in mine:
+                assert parent_id is None or owner[parent_id] == index
+
+
+class TestEnabledCost:
+    """What an enabled span pays for, pinned (docs/OBSERVABILITY.md)."""
+
+    def test_a_finished_span_feeds_no_quantile_estimator(self, monkeypatch):
+        from repro.obs.quantile import P2Quantile
+
+        observed = []
+        monkeypatch.setattr(P2Quantile, "observe",
+                            lambda estimator, value: observed.append(value))
+        with observing(Tracer(clock=SimulatedClock()),
+                       MetricsRegistry()) as (t, m):
+            for _ in range(3):
+                with t.span("node"):
+                    t.clock.sleep(0.001)
+        assert observed == []
+        histogram = m.histogram("repro_span_seconds")
+        assert histogram.count(name="node") == 3
+        assert histogram.tracked == ()
+        assert histogram.quantiles(name="node") == {}
+        # Histograms made without quantiles= keep p50/p95/p99.
+        m.histogram("h").observe(1.0)
+        assert len(observed) == 3
+
+    def test_no_quantiles_survive_the_jsonl_round_trip(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", "", (1.0,), quantiles=())
+        histogram.observe(0.5, mode="safe")
+        rebuilt = MetricsRegistry.from_jsonl(registry.to_jsonl()).get("h")
+        assert rebuilt.tracked == ()
+        rebuilt.observe(2.0, mode="new")
+        assert rebuilt.quantiles(mode="new") == {}
+        assert rebuilt.counts == {(("mode", "safe"),): [1, 1],
+                                  (("mode", "new"),): [0, 1]}
+
+    def test_bridged_buckets_are_cumulative_and_inclusive(self):
+        # One tally per observation, accumulated on export: a value on a
+        # bound counts in that bucket and every one above it.
+        registry = MetricsRegistry()
+        observe = registry.span_observer()
+        for name, duration in (("node", 0.00003), ("node", 0.0025),
+                               ("document", 3.0), ("node", 42.0)):
+            span = Span(1, None, name, 0.0)
+            span.end = duration
+            observe(span)
+        text = registry.to_prometheus()
+        assert 'repro_spans_total{name="node"} 3' in text
+        assert 'repro_span_seconds_bucket{name="node",le="0.0001"} 1' in text
+        assert 'repro_span_seconds_bucket{name="node",le="0.001"} 1' in text
+        assert 'repro_span_seconds_bucket{name="node",le="0.0025"} 2' in text
+        assert 'repro_span_seconds_bucket{name="node",le="10"} 2' in text
+        assert 'repro_span_seconds_bucket{name="node",le="+Inf"} 3' in text
+        assert 'repro_span_seconds_bucket{name="document",le="2.5"} 0' in text
+        assert 'repro_span_seconds_bucket{name="document",le="5"} 1' in text
+        assert 'repro_span_seconds_count{name="node"} 3' in text

@@ -182,6 +182,43 @@ class TestExchangeTrace:
         )
 
 
+class TestWarmWords:
+    def test_a_warm_word_adds_no_event_and_carries_cache_hit(self):
+        # A per-document memo hit is an attribute set in the node span's
+        # closing set, not a SpanEvent with a clock read of its own; the
+        # counter keeps counting it.
+        from repro.axml.enforcement import SchemaEnforcer
+        from repro.workloads import magazine
+
+        receiver, sender = magazine.schemas()[1], magazine.schemas()[0]
+        # Sequential: a prefetch planner's lookups open analysis spans
+        # under its own exec.plan span.
+        enforcer = SchemaEnforcer(receiver, sender, workers=1,
+                                  compile_cache=CompilationCache())
+        registry = MetricsRegistry()
+        tracer = Tracer(clock=SimulatedClock())
+        with observing(tracer, registry):
+            outcome = enforcer.enforce_document(magazine.document(3),
+                                                magazine.invoker)
+            enforcer.enforce_stream(magazine.document(3).to_xml(),
+                                    magazine.invoker, lambda _text: None)
+        assert outcome.ok and outcome.cache_hits > 0
+        spans = tracer.finished()
+        assert all(not span.events for span in spans)
+        nodes = [span for span in spans if span.name == "node"]
+        hits = [span for span in nodes
+                if span.attributes.get("cache") == "hit"]
+        assert set(span.attributes.get("cache") for span in nodes) \
+            == {"hit", None}
+        # Every word is one node span; every hit-free node solved or
+        # fetched its analysis under an analysis span.
+        parents = {span.parent_id for span in spans if span.name == "analysis"}
+        assert {span.span_id for span in nodes if span not in hits} == parents
+        assert len(hits) == registry.counter(
+            "repro_analysis_cache_total").value(outcome="hit")
+        assert len(hits) == 2 * outcome.cache_hits
+
+
 class TestExchangeMetrics:
     def test_pipeline_metrics_populated(self):
         network, _bob = build_network(resilience=ResiliencePolicy())
