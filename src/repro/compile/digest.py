@@ -92,8 +92,7 @@ def symbols_digest(symbols: Iterable[str]) -> str:
 def word_digest(word: Sequence[str]) -> str:
     """Content digest of a children word."""
     out: List[str] = ["W%d" % len(word)]
-    for symbol in word:
-        _symbol(out, symbol)
+    out.extend(["%d:%s" % (len(symbol), symbol) for symbol in word])
     return _hexdigest(out)
 
 

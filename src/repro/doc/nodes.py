@@ -100,6 +100,24 @@ class FunctionCall:
         return "%s(%s)" % (self.name, inner)
 
 
+_set_label = Element.__dict__["label"].__set__
+_set_children = Element.__dict__["children"].__set__
+_set_attributes = Element.__dict__["attributes"].__set__
+
+
+def normal_element(label: str, children: Tuple["Node", ...],
+                   attributes: Tuple[Tuple[str, str], ...]) -> Element:
+    """An :class:`Element` whose fields are already what ``__post_init__``
+    makes them (valid interned label, attributes sorted by interned name,
+    none twice), built without its checks: the tree builder and
+    :func:`with_children` use it, every other caller ``Element(...)``."""
+    node = object.__new__(Element)
+    _set_label(node, label)
+    _set_children(node, children)
+    _set_attributes(node, attributes)
+    return node
+
+
 #: Any node of an intensional document tree.
 Node = Union[Text, Element, FunctionCall]
 
@@ -113,12 +131,15 @@ def symbol_of(node: Node) -> str:
     Data leaves contribute the reserved :data:`~repro.automata.symbols.DATA`
     symbol; elements contribute their label; function nodes their name.
     """
-    if isinstance(node, Text):
+    kind = type(node)
+    if kind is Element:
+        return node.label
+    if kind is Text:
         return DATA
+    if kind is FunctionCall:
+        return node.name
     if isinstance(node, Element):
         return node.label
-    if isinstance(node, FunctionCall):
-        return node.name
     raise TypeError("not a document node: %r" % (node,))
 
 
@@ -147,7 +168,7 @@ def with_children(node: Node, children: Tuple[Node, ...]) -> Node:
     if isinstance(node, Element):
         if _same_forest(kids, node.children):
             return node
-        return Element(node.label, kids, node.attributes)
+        return normal_element(node.label, kids, node.attributes)
     if isinstance(node, FunctionCall):
         if _same_forest(kids, node.params):
             return node

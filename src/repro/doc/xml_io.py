@@ -138,6 +138,6 @@ def document_from_xml(source: str) -> Document:
 
 def node_from_xml(source: str) -> Node:
     """Parse a single XML fragment into a document node."""
-    from repro.stream.builder import build_node
+    from repro.stream.builder import TreeBuilder
 
-    return build_node(source)
+    return TreeBuilder().parse(source)

@@ -91,16 +91,6 @@ class NoPossibleRewritingError(RewriteError):
     """Not even a possible rewriting exists: ext(t) contains no instance."""
 
 
-class DocumentTooDeepError(RewriteError):
-    """A document nests deeper than the DOM rewriting pass can descend.
-
-    The DOM and session passes rewrite top-down by recursion, so a
-    document a few hundred levels deep exhausts the interpreter's
-    recursion limit.  Streaming enforcement rewrites each children word
-    as its element closes and enforces such documents.
-    """
-
-
 class RewriteExecutionError(RewriteError):
     """A rewriting plan failed during execution.
 

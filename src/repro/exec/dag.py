@@ -36,9 +36,9 @@ games the real engine finds in the shared compilation cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.doc.nodes import Element, FunctionCall, Node, Text, symbol_of
+from repro.doc.nodes import Element, FunctionCall, Text, symbol_of
 from repro.exec.fingerprint import call_fingerprint
 from repro.rewriting.plan import DEPENDS, INVOKE
 
@@ -134,48 +134,60 @@ def build_call_dag(document, engine) -> CallDAG:
     return dag
 
 
-def _plan_forest(dag: CallDAG, engine, forest, target) -> List[int]:
-    """Plan one children word; returns ids of every task scheduled
-    anywhere inside it (they all complete before an enclosing call may
-    fire — the param-before-call edges of the enclosing task)."""
-    word = tuple(symbol_of(node) for node in forest)
-    actions = _preview_actions(engine, word, target)
-    scheduled: List[int] = []
-    for position, node in enumerate(forest):
+def _plan_forest(dag: CallDAG, engine, forest, target) -> None:
+    """Plan one children word and every word below it, one node a step:
+    each word is previewed before the words below it, which follow in
+    document order, a call settled after its parameters.  A call's task
+    depends on every task created while its parameters were planned."""
+    # Frames: [forest, actions, next position, (call, position, input
+    # type, first task id) when the forest is that call's parameters].
+    stack = [[forest, _preview_actions(engine, forest, target), 0, None]]
+    while stack:
+        frame = stack[-1]
+        forest, actions, position, call = frame
+        if position == len(forest):
+            stack.pop()
+            if call is not None:
+                fun, at, input_type, first_task = call
+                action = stack[-1][1].get(at)
+                if action == INVOKE and input_type is not None:
+                    dag.add_task(fun, input_type,
+                                 range(first_task, len(dag.tasks)))
+                elif action == DEPENDS:
+                    dag.sequenced.append((fun.name, at))
+            continue
+        frame[2] = position + 1
+        node = forest[position]
         if isinstance(node, Element):
             content = engine.target_schema.type_of(node.label)
             if content is not None:
-                scheduled.extend(_plan_forest(dag, engine, node.children, content))
-            continue
-        if not isinstance(node, FunctionCall):
-            continue
-        dag.planned_calls += 1
-        if dag.planned_calls > MAX_PLANNED:
-            return scheduled
-        input_type = engine._input_type(node.name)
-        nested: List[int] = []
-        if input_type is not None:
+                stack.append([node.children, _preview_actions(
+                    engine, node.children, content), 0, None])
+        elif isinstance(node, FunctionCall):
+            dag.planned_calls += 1
+            if dag.planned_calls > MAX_PLANNED:
+                frame[2] = len(forest)
+                continue
             # Stage 1 rewrites this call's parameters whether the call
             # is later kept or invoked, so nested invocations prefetch
             # usefully in every case.
-            nested = _plan_forest(dag, engine, node.params, input_type)
-        scheduled.extend(nested)
-        action = actions.get(position)
-        if action == INVOKE and input_type is not None:
-            task = dag.add_task(node, input_type, tuple(nested))
-            scheduled.append(task.task_id)
-        elif action == DEPENDS:
-            dag.sequenced.append((node.name, position))
-    return scheduled
+            input_type = engine._input_type(node.name)
+            params, actions = (), {}
+            if input_type is not None:
+                params = node.params
+                actions = _preview_actions(engine, params, input_type)
+            stack.append([params, actions, 0,
+                          (node, position, input_type, len(dag.tasks))])
 
 
-def _preview_actions(engine, word, target) -> Dict[int, str]:
+def _preview_actions(engine, forest, target) -> Dict[int, str]:
     """position -> keep/invoke/depends, when the word has a safe plan.
 
     Words without one (possible-mode engines, words that will fall back
     to possible rewriting, schema errors) predict nothing: their calls
     run in the ordinary sequential pass.
     """
+    word = tuple(symbol_of(node) for node in forest)
     analysis = engine.analyze_word(word, target)
     if analysis is None or not analysis.exists:
         return {}

@@ -17,23 +17,33 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.doc.nodes import Element, FunctionCall, Node, Text
+from repro.doc.nodes import Element, FunctionCall, Node, Text, children_of
 
 
-def _canonical(node: Node) -> str:
-    """An unambiguous s-expression for one parameter subtree."""
-    if isinstance(node, Text):
-        return "t:%r" % (node.value,)
-    if isinstance(node, Element):
-        attrs = ";".join("%r=%r" % pair for pair in node.attributes)
-        kids = ",".join(_canonical(child) for child in node.children)
-        return "e:%r[%s](%s)" % (node.label, attrs, kids)
-    if isinstance(node, FunctionCall):
-        params = ",".join(_canonical(param) for param in node.params)
-        return "f:%r@%r#%r(%s)" % (
-            node.name, node.endpoint, node.namespace, params,
-        )
-    raise TypeError("not a document node: %r" % (node,))
+def _canonical(root: Node) -> str:
+    """An unambiguous s-expression for one parameter subtree, built on
+    an explicit stack of nodes and literal pieces (any depth)."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if isinstance(item, Text):
+            out.append("t:%r" % (item.value,))
+            continue
+        if isinstance(item, Element):
+            attrs = ";".join("%r=%r" % pair for pair in item.attributes)
+            out.append("e:%r[%s](" % (item.label, attrs))
+        elif isinstance(item, FunctionCall):
+            out.append("f:%r@%r#%r(" % (item.name, item.endpoint,
+                                        item.namespace))
+        else:
+            raise TypeError("not a document node: %r" % (item,))
+        stack.append(")")
+        for index, kid in reversed(list(enumerate(children_of(item)))):
+            stack.extend((kid, ",") if index else (kid,))
+    return "".join(out)
 
 
 def call_fingerprint(call: FunctionCall) -> str:

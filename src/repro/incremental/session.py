@@ -44,18 +44,11 @@ byte-identity contract down across the engine configuration matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.doc.document import Document
-from repro.doc.nodes import (
-    Element,
-    FunctionCall,
-    Node,
-    Text,
-    children_of,
-    tree_size,
-)
+from repro.doc.nodes import FunctionCall, Node, Text, children_of, tree_size
 from repro.doc.normalize import normalize_document
 from repro.doc.paths import iter_nodes
 from repro.errors import RewriteError, SchemaError, ServiceError
@@ -111,7 +104,7 @@ class _IdentityMemo:
 
 @dataclass
 class _SubtreeEntry:
-    """One memoized subtree rewriting (a ``_descend``/``_prepare`` result)."""
+    """One memoized subtree rewriting (a driver node step's result)."""
 
     result: Node
     records: Tuple[InvocationRecord, ...]
@@ -220,13 +213,14 @@ class CachingInvoker:
 class MemoRewriteEngine(RewriteEngine):
     """A :class:`RewriteEngine` that memoizes per-subtree rewriting.
 
-    The three overridden stages (:meth:`_rewrite_node` for the root,
-    :meth:`_prepare` for function-call parameter prep, :meth:`_descend`
-    for kept elements) each run under :meth:`_memoized`: a fresh
-    sub-log/sub-stats pair captures exactly what the subtree contributed,
-    the entry replays that contribution on a hit — records appended in
-    document order, stats merged, AUTO-mode degradations re-applied — so
-    a replayed pass is observationally identical to a recomputed one.
+    The driver's node hooks memoize every subtree it steps into (the
+    root, each call stage 1 prepares, each element stage 2 descends
+    into): :meth:`_enter_node` marks the shared log and stats, and
+    :meth:`_leave_node` stores what the subtree added since the mark.  A
+    hit replays that contribution — records appended in document order,
+    stats merged, AUTO-mode degradations re-applied — and skips the
+    subtree, so a replayed pass is observationally identical to a
+    recomputed one.
 
     Entries are tagged with the degradation context (``dead`` set) they
     were computed under and only replay in an equal context; the engine
@@ -253,72 +247,55 @@ class MemoRewriteEngine(RewriteEngine):
         self.nodes_reused = 0
         self.subtree_nodes_reused = 0
 
-    # -- the overridden recursion points --------------------------------
+    # -- the driver's node hooks -----------------------------------------
 
-    def _rewrite_node(self, node, invoker, log, stats):
-        return self._memoized(
-            node, invoker, log, stats, super()._rewrite_node
-        )
-
-    def _prepare(self, node, invoker, log, stats):
-        if not isinstance(node, FunctionCall):
-            return node
-        return self._memoized(node, invoker, log, stats, super()._prepare)
-
-    def _descend(self, node, invoker, log, stats):
-        if not isinstance(node, Element):
-            return node
-        return self._memoized(node, invoker, log, stats, super()._descend)
-
-    # -- memoization core ------------------------------------------------
-
-    def _memoized(self, node, invoker, log, stats, compute):
+    def _enter_node(self, node, log, stats):
         dead_context = frozenset(stats.get("dead", ()))
         entry = self._memo.get(node)
         if entry is not None and entry.dead_context == dead_context:
-            self._replay(entry, log, stats)
+            log.records.extend(entry.records)
+            log.cost += entry.cost
+            stats["words"] += entry.words
+            stats["product"] += entry.product
+            if entry.went_possible:
+                stats["mode"] = POSSIBLE
+            if entry.degradations:
+                stats["degradations"] = (
+                    stats.get("degradations", 0) + entry.degradations
+                )
+            if entry.dead_added:
+                stats.setdefault("dead", set()).update(entry.dead_added)
             self.nodes_reused += 1
             if entry.size is None:
                 entry.size = tree_size(node)
             self.subtree_nodes_reused += entry.size
-            return entry.result
+            return entry.result, None
         self.nodes_reanalyzed += 1
-        # Share the dead set (degradation is pass-global) but give the
-        # subtree its own log/stats so the entry captures exactly its
-        # contribution.
-        dead = stats.setdefault("dead", set())
-        sub_log = InvocationLog()
-        sub_stats = {"words": 0, "product": 0, "mode": SAFE, "dead": dead}
-        result = compute(node, invoker, sub_log, sub_stats)
+        # Cost and mode restart for the entry to hold its own; the dead
+        # set stays shared (degradation is pass-global).
+        mark = (len(log.records), log.cost, stats["words"], stats["product"],
+                stats["mode"], stats.get("degradations", 0), dead_context)
+        log.cost = 0.0
+        stats["mode"] = SAFE
+        return None, mark
+
+    def _leave_node(self, node, result, mark, log, stats):
+        records, cost, words, product, mode, degradations, dead_context = mark
         entry = _SubtreeEntry(
             result=result,
-            records=tuple(sub_log.records),
-            cost=sub_log.cost,
-            words=sub_stats["words"],
-            product=sub_stats["product"],
-            went_possible=sub_stats["mode"] == POSSIBLE,
+            records=tuple(log.records[records:]),
+            cost=log.cost,
+            words=stats["words"] - words,
+            product=stats["product"] - product,
+            went_possible=stats["mode"] == POSSIBLE,
             dead_context=dead_context,
-            dead_added=frozenset(dead) - dead_context,
-            degradations=sub_stats.get("degradations", 0),
+            dead_added=frozenset(stats.get("dead", ())) - dead_context,
+            degradations=stats.get("degradations", 0) - degradations,
         )
         self._memo.put(node, entry)
-        self._replay(entry, log, stats, fresh_dead=False)
-        return result
-
-    @staticmethod
-    def _replay(entry: _SubtreeEntry, log, stats, fresh_dead=True) -> None:
-        log.records.extend(entry.records)
-        log.cost += entry.cost
-        stats["words"] += entry.words
-        stats["product"] += entry.product
-        if entry.went_possible:
+        log.cost = cost + entry.cost
+        if mode == POSSIBLE:
             stats["mode"] = POSSIBLE
-        if entry.degradations:
-            stats["degradations"] = (
-                stats.get("degradations", 0) + entry.degradations
-            )
-        if fresh_dead and entry.dead_added:
-            stats.setdefault("dead", set()).update(entry.dead_added)
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,16 @@ the simulated service fabric.
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.symbols import DATA
 from repro.compile import context as compile_context
 from repro.doc.document import Document
-from repro.doc.nodes import Element, FunctionCall, Node, Text, symbol_of, with_children
+from repro.doc.nodes import (
+    Element, FunctionCall, Node, Text, iter_subtree, symbol_of, with_children,
+)
 from repro.errors import (
-    DocumentTooDeepError,
     FunctionUnavailableError,
     NoPossibleRewritingError,
     NoSafeRewritingError,
@@ -51,6 +50,8 @@ from repro.schema.patterns import InvocationPolicy, allow_all
 SAFE = "safe"
 POSSIBLE = "possible"
 AUTO = "auto"  # try safe first, fall back to possible (Section 3's process)
+
+_NO_DEAD = frozenset()
 
 
 @dataclass
@@ -81,6 +82,23 @@ class RewriteResult:
     @property
     def degraded(self) -> bool:
         return bool(self.degraded_functions)
+
+
+class _Frame:
+    """One children word on the driver's stack: the ``owner`` whose
+    children (or parameters) ``forest`` is (None for a bare forest),
+    the hook's ``mark``, the word's ``target`` (None once rewritten), the
+    current stage's input ``nodes`` and next ``index``, and its ``out``,
+    None while every node so far is unchanged."""
+
+    __slots__ = ("owner", "mark", "forest", "target", "nodes", "index",
+                 "out")
+
+    def __init__(self, owner, mark, forest, target):
+        self.owner, self.mark, self.target = owner, mark, target
+        self.forest = self.nodes = forest
+        self.index = 0
+        self.out = None
 
 
 @dataclass
@@ -141,6 +159,8 @@ class RewriteEngine:
     batch: bool = False
     compile_cache: Optional[object] = None
     _analysis_cache: Dict = field(default_factory=dict, repr=False)
+    _target_keys: Dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
     _cache_hits: int = field(default=0, repr=False)
     _cache_misses: int = field(default=0, repr=False)
     _cache_lock: threading.Lock = field(
@@ -186,29 +206,20 @@ class RewriteEngine:
 
         Raises :class:`NoSafeRewritingError` /
         :class:`NoPossibleRewritingError` when the requested guarantee
-        cannot be met, :class:`RewriteExecutionError` when a possible
-        rewriting exhausts its backtracking options at run time, and
-        :class:`DocumentTooDeepError` when the document nests beyond the
-        recursion limit.
+        cannot be met, and :class:`RewriteExecutionError` when a possible
+        rewriting exhausts its backtracking options at run time.  The
+        driver keeps its own stack, so any nesting depth rewrites.
         """
         log = InvocationLog()
         stats = {"words": 0, "product": 0, "mode": SAFE}
         hits_before, misses_before = self.cache_stats
         with obs.tracer().span("document", mode=self.mode, k=self.k) as span:
             root = document.root
-            try:
-                invoker, exec_report = self._maybe_prefetch(document, invoker)
-                if not isinstance(root, Text):
-                    new_root = self._rewrite_node(root, invoker, log, stats)
-            except RecursionError:
-                raise DocumentTooDeepError(
-                    "document nests too deeply to rewrite within the "
-                    "recursion limit (%d); enforce it as a stream"
-                    % sys.getrecursionlimit()
-                ) from None
+            invoker, exec_report = self._maybe_prefetch(document, invoker)
             if isinstance(root, Text):
                 result = RewriteResult(document, log, SAFE)
             else:
+                new_root = self.rewrite_node(root, invoker, log, stats)
                 hits, misses = self.cache_stats
                 result = RewriteResult(
                     Document(new_root),
@@ -242,16 +253,34 @@ class RewriteEngine:
     def can_rewrite(self, document: Document) -> bool:
         """Static check: does the requested guarantee hold for the document?
 
-        No service is ever invoked; parameters and children words are
-        analyzed with the same staging as :meth:`rewrite`.  Note that for
-        ``mode="possible"`` a True answer only means a rewriting *may*
-        exist (Definition 5).
+        No service is ever invoked; every children word and parameter
+        word of the document is analyzed as :meth:`rewrite` would.  Note
+        that for ``mode="possible"`` a True answer only means a rewriting
+        *may* exist (Definition 5).
         """
         try:
-            self._check_node(document.root)
-            return True
+            for node in iter_subtree(document.root):
+                if isinstance(node, Text):
+                    continue
+                if isinstance(node, FunctionCall):
+                    forest, target = node.params, self._input_type(node.name)
+                else:
+                    forest = node.children
+                    target = self.target_schema.type_of(node.label)
+                if target is None:
+                    return False
+                word = tuple(map(symbol_of, forest))
+                output_types, invocable = self._word_problem(word)
+                target = self._desugared(target, word)
+                problem = (word, output_types, target, invocable)
+                ok = self.mode != POSSIBLE and self._solve(SAFE, *problem).exists
+                if not ok and self.mode != SAFE:
+                    ok = self._solve(POSSIBLE, *problem).exists
+                if not ok:
+                    return False
         except RewriteError:
             return False
+        return True
 
     def rewrite_forest(
         self,
@@ -264,20 +293,22 @@ class RewriteEngine:
         """Rewrite a sibling forest so its root word matches ``target``.
 
         This is the engine's workhorse, also used directly by the Schema
-        Enforcement module for service parameters and results.
+        Enforcement module for service parameters and results, and by
+        the streaming driver at each element close.
         """
         log = log if log is not None else InvocationLog()
         stats = stats if stats is not None else {"words": 0, "product": 0, "mode": SAFE}
-        prepared = tuple(self._prepare(node, invoker, log, stats) for node in forest)
-        if self.eager is not None:
-            prepared = pre_materialize(
-                prepared, self.eager, invoker, self.k, log,
-                self.cost_model.cost_of,
-            )
-        rewritten = self._rewrite_word(prepared, target, invoker, log, stats)
-        return tuple(
-            self._descend(node, invoker, log, stats) for node in rewritten
-        )
+        return self._drive(_Frame(None, None, tuple(forest), target),
+                           invoker, log, stats)
+
+    def rewrite_node(self, node: Node, invoker, log: InvocationLog,
+                     stats: dict) -> Node:
+        """Rewrite one subtree whose root stays: an element's children
+        word (and everything below it), or a call's parameters."""
+        step = self._open(node, invoker, log, stats)
+        if type(step) is not _Frame:
+            return step
+        return self._drive(step, invoker, log, stats)
 
     def analyze_word(self, word: Tuple[str, ...], target: Regex):
         """Solve (and cache) one children word's safe analysis.
@@ -351,65 +382,117 @@ class RewriteEngine:
             compile_cache=self.compile_cache,
         )
 
-    # -- the three stages ---------------------------------------------------
+    # -- the driver -----------------------------------------------------------
 
-    def _rewrite_node(self, node: Node, invoker, log, stats) -> Node:
-        """Top-down stage for one subtree whose root stays in the document."""
-        if isinstance(node, Text):
-            return node
-        if isinstance(node, FunctionCall):
-            input_type = self._input_type(node.name)
-            if input_type is None:
-                raise SchemaError(
-                    "function %r has no declared signature in either schema"
-                    % node.name
-                )
-            params = self.rewrite_forest(node.params, input_type, invoker, log, stats)
-            return with_children(node, params)
-        content = self.target_schema.type_of(node.label)
-        if content is None:
-            raise SchemaError(
-                "element label %r is not declared by the target schema"
-                % node.label
-            )
-        children = self.rewrite_forest(node.children, content, invoker, log, stats)
-        return with_children(node, children)
+    #: Node hooks (the session's subtree memo), None here.
+    #: ``_enter_node(node, log, stats)`` returns ``(result, mark)``: a
+    #: result replays the node's subtree, else the mark goes to
+    #: ``_leave_node(node, result, mark, log, stats)`` once it is rewritten.
+    _enter_node = None
+    _leave_node = None
 
-    def _prepare(self, node: Node, invoker, log, stats) -> Node:
-        """Stage 1: rewrite function parameters, deepest calls first."""
-        if isinstance(node, FunctionCall):
-            input_type = self._input_type(node.name)
-            if input_type is None:
-                raise SchemaError(
-                    "function %r has no declared signature in either schema"
-                    % node.name
-                )
-            params = self.rewrite_forest(node.params, input_type, invoker, log, stats)
-            return with_children(node, params)
+    def _open(self, node: Node, invoker, log, stats):
+        """The step into a call (stage 1) or a kept element (stage 2): the
+        node rewritten — replayed, or on the spot when only data lies
+        below it — or a frame for its children word."""
+        mark = None
+        if self._enter_node is not None:
+            result, mark = self._enter_node(node, log, stats)
+            if result is not None:
+                return result
+        if type(node) is FunctionCall:
+            forest, target = node.params, self._input_type(node.name)
+            if target is None:
+                raise SchemaError("function %r has no declared signature "
+                                  "in either schema" % node.name)
+        else:
+            forest = node.children
+            target = self.target_schema.type_of(node.label)
+            if target is None:
+                raise SchemaError("element label %r is not declared by "
+                                  "the target schema" % node.label)
+        for child in forest:
+            if type(child) is not Text:
+                return _Frame(node, mark, forest, target)
+        rewritten = self._rewrite_word(forest, target, invoker, log, stats)
+        return self._close(node, mark, forest, rewritten, log, stats)
+
+    def _close(self, owner: Node, mark, forest, rewritten, log, stats) -> Node:
+        node = owner if rewritten is forest else with_children(owner, rewritten)
+        if mark is not None:
+            self._leave_node(owner, node, mark, log, stats)
         return node
 
-    def _descend(self, node: Node, invoker, log, stats) -> Node:
-        """Stage 2: continue the top-down traversal below a kept node."""
-        if isinstance(node, Element):
-            if node.enforced:
-                # Sealed by the streaming driver: the subtree's words were
-                # rewritten when the element closed; re-descending would
-                # redo the analyses and double-count cache lookups.
+    def _drive(self, frame: _Frame, invoker, log, stats):
+        """Run a frame and every word below it on one explicit stack, in
+        Section 4's order: a word's calls' parameters (stage 1), then the
+        eager pre-pass and the word itself (stage 3), then its kept and
+        produced elements (stage 2), skipping those the streaming driver
+        sealed.  Returns the frame's owner rewritten, or its forest."""
+        stack = [frame]
+        while True:
+            frame = stack[-1]
+            nodes, out, index = frame.nodes, frame.out, frame.index
+            count = len(nodes)
+            preparing = frame.target is not None
+            while index < count:
+                node = nodes[index]
+                index += 1
+                if (
+                    type(node) is FunctionCall if preparing
+                    else isinstance(node, Element) and not node.enforced
+                ):
+                    step = self._open(node, invoker, log, stats)
+                    if type(step) is _Frame:
+                        break
+                    if step is not node and out is None:
+                        out = frame.out = list(nodes[:index - 1])
+                    node = step
+                if out is not None:
+                    out.append(node)
+            else:
+                step = None
+            if step is not None:
+                frame.index = index
+                stack.append(step)
+                continue
+            result = nodes if out is None else tuple(out)
+            if preparing:
+                if self.eager is not None:
+                    result = pre_materialize(
+                        result, self.eager, invoker, self.k, log,
+                        self.cost_model.cost_of,
+                    )
+                frame.nodes = self._rewrite_word(
+                    result, frame.target, invoker, log, stats
+                )
+                frame.target = frame.out = None
+                frame.index = 0
+                continue
+            stack.pop()
+            if frame.owner is None:
+                return result
+            owner = frame.owner
+            node = self._close(owner, frame.mark, frame.forest, result, log,
+                               stats)
+            if not stack:
                 return node
-            content = self.target_schema.type_of(node.label)
-            if content is None:
-                raise SchemaError(
-                    "element label %r is not declared by the target schema"
-                    % node.label
-                )
-            children = self.rewrite_forest(node.children, content, invoker, log, stats)
-            return with_children(node, children)
-        return node
+            parent = stack[-1]
+            if parent.out is None and node is not owner:
+                parent.out = list(parent.nodes[:parent.index - 1])
+            if parent.out is not None:
+                parent.out.append(node)
 
     def _rewrite_word(
         self, children: Tuple[Node, ...], target: Regex, invoker, log, stats
     ) -> Tuple[Node, ...]:
         """Stage 3: rewrite one children word (safe, auto or possible).
+
+        The word's symbols are read once and its analysis costs one memo
+        probe.  When the analysis attached no signature copy, nothing can
+        be invoked: the product path is the word's own path, ``exists``
+        says it ends unmarked, and the walk is skipped.  A traced pass
+        wraps the step in a ``node`` span.
 
         In AUTO mode the word *degrades gracefully* under infrastructure
         failure: when the resilient invocation layer gives up on a
@@ -419,31 +502,61 @@ class RewriteEngine:
         partition — the plan may then keep the call intensional or route
         through other providers — instead of failing the whole document.
         """
-        word = tuple(symbol_of(node) for node in children)
-        target = self._desugared(target, word)
+        word = tuple(map(symbol_of, children))
+        if self.target_schema.patterns:
+            target = self._desugared(target, word)
         stats["words"] += 1
-        dead = stats.setdefault("dead", set())
+        dead = stats.get("dead")
+        if dead is None:
+            dead = stats["dead"] = set()
         tracer = obs.tracer()
-        if tracer.enabled:
-            span_context = tracer.span(
-                "node", word=".".join(word) or "eps", length=len(word)
-            )
-        else:
-            span_context = tracer.span("node")
-        with span_context as span:
+        span = tracer.start(
+            "node", word=".".join(word) or "eps", length=len(word)
+        ) if tracer.enabled else None
+        mode = self.mode
+        try:
             while True:
                 try:
-                    result, hit = self._rewrite_word_once(
-                        children, word, target, invoker, log, stats, dead
+                    if mode in (SAFE, AUTO):
+                        analysis, hit = self._cached(SAFE, word, target, dead)
+                        stats["product"] += analysis.stats.product_nodes
+                        if analysis.exists:
+                            result = children
+                            if analysis.expansion.copies:
+                                result, _ = execute_safe(
+                                    analysis, children, invoker, log,
+                                    self.cost_model.cost_of,
+                                )
+                            break
+                        if mode == SAFE:
+                            raise NoSafeRewritingError(
+                                "children word %s has no safe %d-depth "
+                                "rewriting into %s"
+                                % (".".join(word) or "eps", self.k, target)
+                            )
+                        stats["mode"] = POSSIBLE
+                    analysis, hit = self._cached(POSSIBLE, word, target, dead)
+                    stats["product"] += analysis.stats.product_nodes
+                    if not analysis.exists:
+                        raise NoPossibleRewritingError(
+                            "children word %s cannot rewrite into %s%s"
+                            % (
+                                ".".join(word) or "eps",
+                                target,
+                                " (with %s unavailable)"
+                                % ", ".join(sorted(dead)) if dead else "",
+                            )
+                        )
+                    if mode != SAFE:
+                        stats["mode"] = POSSIBLE
+                    result, _ = execute_possible(
+                        analysis, children, invoker, log,
+                        self.cost_model.cost_of,
                     )
-                    if hit:
-                        span.set(mode=stats["mode"], cache="hit")
-                    else:
-                        span.set(mode=stats["mode"])
-                    return result
+                    break
                 except FunctionUnavailableError as fault:
                     name = getattr(fault, "function", "")
-                    if self.mode != AUTO or not name or name in dead:
+                    if mode != AUTO or not name or name in dead:
                         raise
                     dead.add(name)
                     stats["degradations"] = stats.get("degradations", 0) + 1
@@ -452,108 +565,20 @@ class RewriteEngine:
                         "repro_degradations_total",
                         "Words re-analyzed around a dead function",
                     ).inc(function=name)
+        except BaseException as exc:
+            if span is not None:
+                span.set(error=str(exc) or type(exc).__name__)
+                tracer.finish(span)
+            raise
+        if span is not None:
+            if hit:
+                span.set(mode=stats["mode"], cache="hit")
+            else:
+                span.set(mode=stats["mode"])
+            tracer.finish(span)
+        return result
 
-    def _rewrite_word_once(
-        self,
-        children: Tuple[Node, ...],
-        word: Tuple[str, ...],
-        target: Regex,
-        invoker,
-        log,
-        stats,
-        dead,
-    ) -> Tuple[Tuple[Node, ...], bool]:
-        """One analyze-and-execute pass over a children word.
-
-        Returns the new children and whether the per-document memo
-        answered the analysis they were rewritten with.  A warm word
-        costs one analysis-cache probe.  When the solved analysis
-        attached no signature copy, nothing can be invoked: the product
-        path is the word's own path, ``exists`` says it ends unmarked,
-        and the strategy would return the children unchanged, so the
-        walk is skipped.
-        """
-        if self.mode in (SAFE, AUTO):
-            analysis, hit = self._cached(SAFE, word, target, dead)
-            stats["product"] += analysis.stats.product_nodes
-            if analysis.exists:
-                if not analysis.expansion.copies:
-                    return children, hit
-                new_children, _ = execute_safe(
-                    analysis, children, invoker, log, self.cost_model.cost_of
-                )
-                return new_children, hit
-            if self.mode == SAFE:
-                raise NoSafeRewritingError(
-                    "children word %s has no safe %d-depth rewriting into %s"
-                    % (".".join(word) or "eps", self.k, target)
-                )
-            stats["mode"] = POSSIBLE
-
-        analysis, hit = self._cached(POSSIBLE, word, target, dead)
-        stats["product"] += analysis.stats.product_nodes
-        if not analysis.exists:
-            raise NoPossibleRewritingError(
-                "children word %s cannot rewrite into %s%s"
-                % (
-                    ".".join(word) or "eps",
-                    target,
-                    " (with %s unavailable)" % ", ".join(sorted(dead))
-                    if dead
-                    else "",
-                )
-            )
-        stats["mode"] = POSSIBLE if self.mode != SAFE else stats["mode"]
-        new_children, _ = execute_possible(
-            analysis, children, invoker, log, self.cost_model.cost_of
-        )
-        return new_children, hit
-
-    # -- static analysis (no invocations) -----------------------------------
-
-    def _check_node(self, node: Node) -> None:
-        if isinstance(node, Text):
-            return
-        if isinstance(node, FunctionCall):
-            input_type = self._input_type(node.name)
-            if input_type is None:
-                raise NoSafeRewritingError(
-                    "function %r has no declared signature" % node.name
-                )
-            self._check_forest(node.params, input_type)
-            return
-        content = self.target_schema.type_of(node.label)
-        if content is None:
-            raise NoSafeRewritingError(
-                "element label %r is not declared" % node.label
-            )
-        self._check_forest(node.children, content)
-
-    def _check_forest(self, forest: Sequence[Node], target: Regex) -> None:
-        for node in forest:
-            self._check_node(node)
-        word = tuple(symbol_of(node) for node in forest)
-        output_types, invocable = self._word_problem(word)
-        target = self._desugared(target, word)
-
-        def exists(kind: str) -> bool:
-            return self._solve(
-                kind, word, output_types, target, invocable
-            ).exists
-
-        if self.mode != POSSIBLE and exists(SAFE):
-            return
-        if self.mode != SAFE and exists(POSSIBLE):
-            return
-        if self.mode == SAFE:
-            raise NoSafeRewritingError(
-                "children word %s has no safe %d-depth rewriting into %s"
-                % (".".join(word) or "eps", self.k, target)
-            )
-        raise NoPossibleRewritingError(
-            "children word %s cannot rewrite into %s"
-            % (".".join(word) or "eps", target)
-        )
+    # -- word problems ----------------------------------------------------------
 
     def _solve(self, kind: str, word, output_types, target, invocable):
         """Solve one word problem: the safe game (lazy or eager) or
@@ -573,10 +598,10 @@ class RewriteEngine:
         word, target, dead set).  The other inputs (k, policy, schemas,
         laziness) are engine-constant, and ``output_types``/``invocable``
         are functions of the word and the degradation state alone, so
-        the key is exact.  The word enters as the tuple itself (strings
-        cache their hashes) and the target through the compilation
-        cache's interned digest (with caching disabled, the structural
-        regex itself), so a warm word costs one tuple hash.
+        the key is exact.  The word enters as the tuple itself and the
+        target through the compilation cache's digest (the regex itself
+        with caching disabled), remembered by target identity except for
+        a pattern schema's per-word targets: a warm word costs one hash.
 
         Only a per-engine miss reaches the compilation cache's shared
         ``analysis`` store (:meth:`_analyzed`), where every engine on
@@ -594,7 +619,12 @@ class RewriteEngine:
         if not self.cache:
             analysis = self._analyzed(kind, word, target, dead, shared=False)
             return analysis, False
-        key = (kind, word, self._ccache().regex_key(target), frozenset(dead))
+        entry = self._target_keys.get(id(target))
+        if entry is None or entry[0] is not target:
+            entry = (target, self._ccache().regex_key(target))
+            if not self.target_schema.patterns:
+                self._target_keys[id(target)] = entry
+        key = (kind, word, entry[1], frozenset(dead) if dead else _NO_DEAD)
         with self._cache_lock:
             analysis = self._analysis_cache.get(key)
             if analysis is None:
@@ -702,7 +732,10 @@ class RewriteEngine:
         names = set(self.target_schema.function_names())
         if self.sender_schema is not None:
             names |= self.sender_schema.function_names()
-        names |= {symbol for symbol in word if self._signature(symbol) is not None}
+        names |= {
+            symbol for symbol in set(word).difference(names)
+            if self._signature(symbol) is not None
+        }
         return sorted(names)
 
     def _word_problem(self, word: Sequence[str], dead=frozenset()):

@@ -1,11 +1,11 @@
 """Event-driven construction of simple-model document trees.
 
 :class:`TreeBuilder` is the one parser of the Active XML syntax: both
-:func:`repro.doc.xml_io.node_from_xml` (through :func:`build_node`) and
-the streaming driver of :mod:`repro.stream.enforce` feed it the events
-of :func:`repro.stream.parser.iter_events`.  It is iterative and holds
-only the root-to-cursor spine of open frames, so documents nested far
-beyond the recursion limit parse fine.
+:func:`repro.doc.xml_io.node_from_xml` and the streaming driver of
+:mod:`repro.stream.enforce` run it.  Its open, close and text steps are
+expat's handlers (:mod:`repro.stream.parser`), one call per tag.  It
+holds only the root-to-cursor spine of open frames, so documents nested
+far beyond the recursion limit parse fine.
 
 ``int:fun``, ``int:params`` and ``int:param`` get frames of their own,
 which enforce the Section 7 syntax as the events arrive:
@@ -32,28 +32,18 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.doc.names import FUN_TAG, PARAM_TAG, PARAMS_TAG
-from repro.doc.nodes import Element, FunctionCall, Node, Text
+from repro.doc.nodes import FunctionCall, Node, Text, normal_element
 from repro.errors import DocumentParseError
-from repro.stream.parser import START, TEXT, Event, iter_events
+from repro.stream.parser import Source, clark, feed
 
 _MIXED = "mixed content under <%s> is not part of the simple model"
-
-
-def _attributes(attrs: dict) -> Tuple[Tuple[str, str], ...]:
-    attributes = tuple(sorted(attrs.items()))
-    for name, _value in attributes:
-        if name.startswith("{"):
-            raise DocumentParseError(
-                "namespaced attribute %r is not supported" % name
-            )
-    return attributes
 
 
 class Frame:
     """One open element on the builder's spine.
 
     ``text`` is the element's leading character data (the parser
-    coalesces it into one event).  An ``int:fun`` frame's ``children``
+    coalesces it into one piece).  An ``int:fun`` frame's ``children``
     stay ``None`` until its ``int:params`` closes and hands over the
     parameters.
     """
@@ -70,16 +60,19 @@ class Frame:
 class TreeBuilder:
     """Simple-model builder with per-element close hooks.
 
-    Feed it the events of :func:`repro.stream.parser.iter_events`.
-    Subclasses override :meth:`enter_element`, :meth:`close_element`
-    and :meth:`child_closed`; the enforcement driver rewrites each
-    frame's children word inside :meth:`close_element`.
+    :meth:`parse` runs a source through expat with this builder's steps
+    as its handlers.  Subclasses override :meth:`enter_element`,
+    :meth:`close_element` and :meth:`child_closed`; the enforcement
+    driver rewrites each frame's children word inside
+    :meth:`close_element`.
     """
 
     def __init__(self):
         self._stack: List[Frame] = []
         self._calls = 0  # open int:fun frames; hooks fire only at 0
         self._result: Optional[Node] = None
+        self._text: List[str] = []  # character data since the last tag
+        self._names: dict = {}  # expat's names -> interned Clark names
 
     # -- hooks -------------------------------------------------------------
 
@@ -90,33 +83,52 @@ class TreeBuilder:
         self, frame: Frame, attributes: Tuple[Tuple[str, str], ...]
     ) -> Node:
         """Build the node for a closing element (children are final)."""
-        return Element(frame.label, tuple(frame.children), attributes)
+        return normal_element(frame.label, tuple(frame.children), attributes)
 
     def child_closed(self, node: Node) -> None:
         """Called after a completed child joined its parent (or the root)."""
 
-    # -- event intake ------------------------------------------------------
+    # -- the steps expat calls ----------------------------------------------
 
-    def feed(self, event: Event) -> None:
-        kind, value, attrs = event
+    def parse(self, source: Source) -> Node:
+        """Build the tree of one source (a string, bytes or chunks)."""
+        for _chunk in feed(source, self._open, self._close, self._text.append):
+            pass
+        if self._result is None:
+            raise DocumentParseError("malformed XML: no element found")
+        return self._result
+
+    def _name(self, name: str) -> str:
+        label = self._names.get(name)
+        if label is None:
+            label = self._names[name] = clark(name)
+        return label
+
+    def _flush_text(self) -> None:
+        """Hand the text since the last tag to the open frame, dropping it
+        where the frame cannot keep it (under ``int:fun``/``int:params``,
+        or after a first child, where it must be blank)."""
+        parts = self._text
+        value = parts[0] if len(parts) == 1 else "".join(parts)
+        parts.clear()
         stack = self._stack
-        if kind == TEXT:
-            if stack:
-                frame = stack[-1]
-                label = frame.label
-                if label == FUN_TAG or label == PARAMS_TAG:
-                    return
-                if not frame.children:
-                    frame.text = value
-                elif label != PARAM_TAG and value.strip():
-                    raise DocumentParseError(_MIXED % label)
+        if not stack:
             return  # text outside the root element is ignored
-        if kind == START:
-            self._open(value, attrs)
-        else:
-            self._close()
+        frame = stack[-1]
+        label = frame.label
+        if label == FUN_TAG or label == PARAMS_TAG:
+            return
+        if not frame.children:
+            frame.text = value
+        elif label != PARAM_TAG and value.strip():
+            raise DocumentParseError(_MIXED % label)
 
-    def _open(self, tag: str, attrs: dict) -> None:
+    def _open(self, name: str, attrs: dict) -> None:
+        if self._text:
+            self._flush_text()
+        tag = self._names.get(name) or self._name(name)
+        if attrs:
+            attrs = {self._name(key): value for key, value in attrs.items()}
         stack = self._stack
         parent = stack[-1].label if stack else None
         if parent == FUN_TAG:
@@ -163,7 +175,9 @@ class TreeBuilder:
         elif not self._calls:
             self.enter_element(opened)
 
-    def _close(self) -> None:
+    def _close(self, _name: str) -> None:
+        if self._text:
+            self._flush_text()
         stack = self._stack
         frame = stack.pop()
         label = frame.label
@@ -195,9 +209,18 @@ class TreeBuilder:
                 leading = frame.text.strip()
                 if leading:
                     children.append(Text(leading))
-            attributes = _attributes(frame.attrs)
+            attrs = frame.attrs
+            if attrs:
+                attributes = tuple(sorted(attrs.items()))
+                for key, _value in attributes:
+                    if key.startswith("{"):
+                        raise DocumentParseError(
+                            "namespaced attribute %r is not supported" % key
+                        )
+            else:
+                attributes = ()
             if self._calls:
-                node = Element(label, tuple(children), attributes)
+                node = normal_element(label, tuple(children), attributes)
             else:
                 node = self.close_element(frame, attributes)
         if stack:
@@ -207,20 +230,7 @@ class TreeBuilder:
         if not self._calls:
             self.child_closed(node)
 
-    def finish(self) -> Node:
-        if self._result is None:
-            raise DocumentParseError("malformed XML: no element found")
-        return self._result
-
     @property
     def depth(self) -> int:
         """Open-frame count (the spine length)."""
         return len(self._stack)
-
-
-def build_node(source, builder: Optional[TreeBuilder] = None) -> Node:
-    """Parse a document through the builder."""
-    builder = builder if builder is not None else TreeBuilder()
-    for event in iter_events(source):
-        builder.feed(event)
-    return builder.finish()

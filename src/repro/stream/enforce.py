@@ -39,18 +39,11 @@ Guarantees and caveats (see ``docs/STREAMING.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 from xml.sax.saxutils import escape
 
-from repro.doc.nodes import (
-    Element,
-    FunctionCall,
-    Node,
-    Text,
-    symbol_of,
-    with_children,
-)
+from repro.doc.nodes import FunctionCall, Node, Text, symbol_of
 from repro.doc.xml_io import _declare_int_ns
 from repro.errors import RewriteError, SchemaError
 from repro.obs import context as obs
@@ -59,7 +52,6 @@ from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
 from repro.rewriting.plan import InvocationLog
 from repro.schema.validate import InstanceChecker
 from repro.stream.builder import Frame, TreeBuilder
-from repro.stream.parser import iter_events
 from repro.stream.seal import SealedElement
 from repro.stream.serialize import (
     XML_HEADER,
@@ -280,18 +272,11 @@ class _StreamDriver(TreeBuilder):
 
     def _finish_root(self, node: Node) -> None:
         if isinstance(node, FunctionCall):
-            # Mirrors the engine's root FunctionCall branch: parameters
-            # are rewritten toward the input type, the call itself stays.
-            input_type = self.engine._input_type(node.name)
-            if input_type is None:
-                raise SchemaError(
-                    "function %r has no declared signature in either schema"
-                    % node.name
-                )
-            params = self.engine.rewrite_forest(
-                node.params, input_type, self.invoker, self.log, self.stats
+            # As in the DOM pass, a root call stays and its parameters
+            # are rewritten toward its input type.
+            final = self.engine.rewrite_node(
+                node, self.invoker, self.log, self.stats
             )
-            final = with_children(node, params)
             self.writer.line(XML_HEADER)
             self.writer.line(
                 _declare_int_ns("\n".join(serialize_lines(final, 0)))
@@ -342,9 +327,7 @@ def _stream_rewrite(
     with obs.tracer().span(
         "document", mode=engine.mode, k=engine.k, stream=True
     ) as span:
-        for event in iter_events(source):
-            driver.feed(event)
-        driver.finish()
+        driver.parse(source)
         hits, misses = engine.cache_stats
         result = StreamResult(
             log=driver.log,

@@ -1,21 +1,19 @@
-"""Event-based pull parsing over ``xml.parsers.expat``.
+"""The one expat set-up of the Active XML front end.
 
-:func:`iter_events` turns an XML source — a string, bytes, or an
-iterable of chunks — into a flat stream of ``(kind, value, attrs)``
-events, holding only expat's internal buffers plus the text currently
-being coalesced.  The namespace handling mirrors
-:mod:`xml.etree.ElementTree` exactly (same expat configuration, same
-Clark-notation ``{uri}local`` names, same error strings), so documents
-accepted or rejected by the DOM path behave identically here.
-
-Adjacent character data — split by expat buffering, comments, or CDATA
-section boundaries — is coalesced into a single ``text`` event, matching
-the ``.text`` / ``.tail`` coalescing of the ElementTree builder.
+:func:`feed` runs a source — a string, bytes, or an iterable of chunks —
+through ``xml.parsers.expat`` configured as :mod:`xml.etree.ElementTree`
+configures it (:func:`clark` gives the same ``{uri}local`` names), its
+handlers called as expat reads: the tree builder
+(:mod:`repro.stream.builder`) installs its steps, and :func:`iter_events`
+is a thin adapter recording the same calls as events.  Character data
+split by expat buffering, comments or CDATA boundaries is coalesced and
+handed on when the next tag arrives, as ElementTree's ``.text`` /
+``.tail``; text no later tag closed is never handed on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 from xml.parsers import expat
 
 from repro.automata.symbols import intern_symbol
@@ -27,12 +25,37 @@ TEXT = "text"
 END = "end"
 
 Event = Tuple[str, str, Optional[dict]]
-Source = Union[str, bytes, Iterator[Union[str, bytes]]]
+Source = Union[str, bytes, Iterable[Union[str, bytes]]]
 
 
-def _clark(name: str) -> str:
-    """``uri}local`` (expat with ``}`` separator) → ``{uri}local``."""
+def clark(name: str) -> str:
+    """``uri}local`` (expat with ``}`` separator) → ``{uri}local``, interned."""
     return intern_symbol("{" + name if "}" in name else name)
+
+
+def feed(source: Source, start: Callable[[str, dict], None],
+         end: Callable[[str], None],
+         characters: Callable[[str], None]) -> Iterator[None]:
+    """Parse ``source``, calling ``start(name, attrs)``, ``end(name)`` and
+    ``characters(data)`` with expat's raw names; yields after each chunk.
+
+    A handler's exception propagates as it is, so the first fault in
+    event order is reported at any chunking; malformed XML raises
+    :class:`DocumentParseError` with the DOM parser's message.
+    """
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = characters
+    chunks = (source,) if isinstance(source, (str, bytes)) else source
+    try:
+        for chunk in chunks:
+            parser.Parse(chunk, False)
+            yield
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise DocumentParseError("malformed XML: %s" % exc) from exc
 
 
 def iter_events(source: Source) -> Iterator[Event]:
@@ -40,53 +63,28 @@ def iter_events(source: Source) -> Iterator[Event]:
 
     ``kind`` is :data:`START` (value = Clark tag, attrs = dict),
     :data:`TEXT` (value = coalesced character data, attrs None) or
-    :data:`END` (value = Clark tag, attrs None).  Malformed input
-    raises :class:`DocumentParseError` with the same message the DOM
-    parser produces for the same document.
+    :data:`END` (value = Clark tag, attrs None).  Malformed input raises
+    :class:`DocumentParseError` after the events expat delivered before
+    the fault.
     """
-    if isinstance(source, (str, bytes)):
-        chunks: Iterator[Union[str, bytes]] = iter((source,))
-    else:
-        chunks = iter(source)
-
-    parser = expat.ParserCreate(None, "}")
-    parser.buffer_text = True
-
     events: list = []
-    text_parts: list = []
+    parts: list = []
 
-    def flush_text() -> None:
-        if text_parts:
-            events.append((TEXT, "".join(text_parts), None))
-            text_parts.clear()
+    def tag(kind: str, name: str, attrs: Optional[dict]) -> None:
+        if parts:
+            events.append((TEXT, "".join(parts), None))
+            parts.clear()
+        events.append((kind, clark(name), attrs))
 
-    def handle_start(tag: str, attrs: dict) -> None:
-        flush_text()
-        events.append(
-            (START, _clark(tag), {_clark(k): v for k, v in attrs.items()})
-        )
+    def start(name: str, attrs: dict) -> None:
+        tag(START, name, {clark(k): v for k, v in attrs.items()})
 
-    def handle_end(tag: str) -> None:
-        flush_text()
-        events.append((END, _clark(tag), None))
-
-    parser.StartElementHandler = handle_start
-    parser.EndElementHandler = handle_end
-    parser.CharacterDataHandler = text_parts.append
-
-    error: Optional[expat.ExpatError] = None
     try:
-        for chunk in chunks:
-            parser.Parse(chunk, False)
-            if events:
-                yield from events
-                events.clear()
-        parser.Parse(b"", True)
-    except expat.ExpatError as exc:
-        error = exc
-    # The events expat delivered before an error come first, so the
-    # first fault a document reports does not depend on its chunking.
-    # Text no later tag closed is not among them.
+        for _chunk in feed(source, start, lambda name: tag(END, name, None),
+                           parts.append):
+            yield from events
+            events.clear()
+    except DocumentParseError:
+        yield from events
+        raise
     yield from events
-    if error is not None:
-        raise DocumentParseError("malformed XML: %s" % error) from error

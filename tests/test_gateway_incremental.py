@@ -380,10 +380,9 @@ class TestDeepDocuments:
         finally:
             harness.stop()
 
-    def test_a_deep_document_needing_a_call_is_a_typed_failure(self):
-        # 2,000 levels above one call: the JSON and edit routes answer
-        # 422 enforcement-failed instead of dropping the connection,
-        # and the streamed route still enforces the document.
+    def test_a_deep_document_needing_a_call_enforces_on_every_route(self):
+        # 2,000 levels above one call: the JSON and edit routes enforce
+        # it as the streamed route does, and reply with the same bytes.
         from repro.gateway.http import parse_chunked_response
         from repro.schema import SchemaBuilder
         from repro.xschema.writer import schema_to_xschema
@@ -434,13 +433,15 @@ class TestDeepDocuments:
                 return exchanged, opened, parse_chunked_response(blob)
 
             exchanged, opened, (status, _, body, trailers) = run(go())
-            for reply in (exchanged, opened):
-                assert reply.status == 422, reply.body
-                assert reply.json()["error"] == "enforcement-failed"
-                assert "nests too deeply" in reply.json()["detail"]
             assert status == 200
             assert trailers.get("x-repro-ok") == "true", trailers
             assert trailers.get("x-repro-calls") == "1"
             assert body.count(b"<x>") == 1
+            for reply in (exchanged, opened):
+                assert reply.status == 200, reply.body
+                payload = reply.json()
+                assert payload["accepted"] is True
+                assert payload["calls"] == 1
+                assert payload["document"].encode("utf-8") == body
         finally:
             harness.stop()

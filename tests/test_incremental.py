@@ -563,11 +563,10 @@ class TestDeepDocuments:
         again = session.enforce()
         assert (again.verify_checked, again.verify_reused) == (0, 1)
 
-    def test_too_deep_to_rewrite_fails_typed_and_still_streams(self):
-        # 2,000 levels above one call: the DOM pass and the session
-        # recurse per level and fail with a typed error; the stream
-        # rewrites each word as its element closes and succeeds.
-        from repro.errors import DocumentTooDeepError
+    def test_a_deep_document_needing_a_call_enforces_on_every_path(self):
+        # 2,000 levels above one call: the driver keeps its own stack, so
+        # the DOM pass, the session and the stream all enforce it, with
+        # the same bytes and receipt.
         from repro.rewriting.engine import RewriteEngine
         from repro.schema import SchemaBuilder
 
@@ -589,13 +588,14 @@ class TestDeepDocuments:
             return (el("x", "1"),)
 
         cache = CompilationCache()
-        with pytest.raises(DocumentTooDeepError):
-            RewriteEngine(receiver, sender, compile_cache=cache).rewrite(
-                document, invoker
-            )
+        result = RewriteEngine(receiver, sender, compile_cache=cache).rewrite(
+            document, invoker
+        )
+        assert result.calls_made == 1
         enforcer = SchemaEnforcer(receiver, sender, compile_cache=cache)
         full = enforcer.enforce_document(document, invoker)
-        assert not full.ok and "nests too deeply" in full.error
+        assert full.ok and full.calls_made == 1
+        assert full.document.to_xml() == result.document.to_xml()
         outcome = enforcer.session(document, invoker).enforce()
         assert outcome.receipt() == full_receipt(full)
 
@@ -604,7 +604,8 @@ class TestDeepDocuments:
             document.to_xml(), invoker, parts.append
         )
         assert streamed.ok and streamed.calls_made == 1
-        leaf = Document.from_xml("".join(parts)).root
+        assert "".join(parts) == full.document.to_xml()
+        leaf = full.document.root
         for _ in range(depth - 1):
             (leaf,) = leaf.children
         assert leaf == el("a", el("x", "1"))
