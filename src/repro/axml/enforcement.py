@@ -29,7 +29,7 @@ from repro.rewriting.plan import InvocationLog
 from repro.rewriting.safe import Invoker
 from repro.schema.model import Schema
 from repro.schema.patterns import InvocationPolicy, allow_all
-from repro.schema.validate import InstanceChecker
+from repro.schema.validate import InstanceChecker, ValidationReport
 from repro.services.resilience import FaultReport
 
 
@@ -54,6 +54,9 @@ class EnforcementOutcome:
     #: The concurrent materialization scheduler's report
     #: (:class:`repro.exec.ExecReport`) when the engine prefetched.
     exec_report: Optional[object] = None
+    #: The receiving peer's verdict on what it reads, when a stream was
+    #: handed its checker (:meth:`SchemaEnforcer.enforce_stream`).
+    receiver_report: Optional[ValidationReport] = None
 
     @property
     def ok(self) -> bool:
@@ -185,7 +188,8 @@ class SchemaEnforcer:
         )
 
     def enforce_stream(
-        self, source, invoker: Invoker, write: Callable[[str], None]
+        self, source, invoker: Invoker, write: Callable[[str], None],
+        receiver: Optional[InstanceChecker] = None,
     ) -> EnforcementOutcome:
         """Enforce one document from an XML source, streaming the output.
 
@@ -202,7 +206,10 @@ class SchemaEnforcer:
         on this path, and possible mode is rejected — its service calls
         on conformant words would diverge from the DOM verify step.
         Malformed XML raises :class:`DocumentParseError` as the DOM
-        parser does.
+        parser does.  Handed the receiving peer's checker, a successful
+        pass also carries that peer's verdict on what it reads
+        (``receiver_report``), the one :func:`repro.axml.delivery.deliver`
+        reaches on the whole tree.
         """
         if self.mode == POSSIBLE:
             raise ValueError(
@@ -214,7 +221,7 @@ class SchemaEnforcer:
         with obs.tracer().span("enforce", scope="stream") as span:
             try:
                 result = _stream_rewrite(
-                    engine, source, invoker, write, self.checker
+                    engine, source, invoker, write, self.checker, receiver
                 )
             except (RewriteError, SchemaError, ServiceError) as exc:
                 outcome = EnforcementOutcome(
@@ -238,6 +245,7 @@ class SchemaEnforcer:
                         cache_hits=result.cache_hits,
                         cache_misses=result.cache_misses,
                     )
+                outcome.receiver_report = result.receiver_report
             span.set(
                 ok=outcome.ok,
                 already_conformant=outcome.already_conformant,

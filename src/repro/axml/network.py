@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.axml.delivery import deliver
 from repro.axml.peer import AXMLPeer
-from repro.doc.document import Document
-from repro.errors import RewriteError, SchemaError, UnknownPeerError
+from repro.errors import SchemaError, UnknownPeerError
 from repro.obs import context as obs
 from repro.schema.model import Schema
-from repro.schema.validate import validate
+from repro.schema.validate import InstanceChecker
 from repro.services.resilience import FaultReport
 
 
@@ -152,8 +152,9 @@ class PeerNetwork:
         """Transfer one document, enforcing the agreed schema.
 
         The sender's Schema Enforcement module materializes whatever the
-        agreement requires; the receiver validates independently before
-        accepting (defense in depth — a receiver does not trust senders).
+        agreement requires; the receiver checks what it reads from the
+        bytes before accepting (:func:`~repro.axml.delivery.deliver`:
+        defense in depth — a receiver does not trust senders).
 
         ``parallelism`` lets the sender overlap independent service
         round-trips while materializing (see :mod:`repro.exec`); the
@@ -167,14 +168,13 @@ class PeerNetwork:
                 "no exchange schema agreed between %r and %r" % (sender, receiver)
             )
 
-        tracer = obs.tracer()
-        with tracer.span(
+        with obs.tracer().span(
             "exchange", sender=sender, receiver=receiver,
             document=document_name,
         ) as span:
             receipt = self._transfer(
                 source, target, sender, receiver, document_name, agreement,
-                store_as, tracer, parallelism,
+                store_as, parallelism,
             )
             span.set(
                 accepted=receipt.accepted,
@@ -202,10 +202,11 @@ class PeerNetwork:
         document_name: str,
         agreement: Schema,
         store_as: Optional[str],
-        tracer,
         parallelism: Optional[int] = None,
     ) -> TransferReceipt:
-        """Enforce, serialize, and validate one transfer."""
+        """Enforce, then deliver: the receiver checks with *its own*
+        vocabulary (the agreement plus its own schema for anything the
+        agreement leaves open), never with the sender's claims."""
         outcome = source.prepare_outgoing(
             document_name, agreement, parallelism=parallelism
         )
@@ -219,28 +220,14 @@ class PeerNetwork:
                 sender, receiver, document_name, outcome.calls_made, 0, False,
                 error=outcome.error, **resilience,
             )
-
-        with tracer.span("transfer.serialize") as span:
-            wire = outcome.document.to_xml()
-            delivered = Document.from_xml(wire)
-            span.set(bytes=len(wire.encode("utf-8")))
-
-        # Defense in depth: the receiver validates with *its own*
-        # vocabulary (the agreement plus its own schema for anything the
-        # agreement leaves open) — never with the sender's claims.
-        with tracer.span("transfer.validate") as span:
-            report = validate(delivered, agreement, target.schema)
-            accepted = report.ok
-            span.set(accepted=accepted)
+        delivery = deliver(
+            outcome.document, InstanceChecker(agreement, target.schema)
+        )
+        accepted = delivery.report.ok
         if accepted:
-            target.receive(store_as or document_name, delivered)
+            target.receive(store_as or document_name, delivery.received)
         return TransferReceipt(
-            sender,
-            receiver,
-            document_name,
-            outcome.calls_made,
-            len(wire.encode("utf-8")),
-            accepted,
-            error="" if accepted else str(report),
-            **resilience,
+            sender, receiver, document_name, outcome.calls_made,
+            delivery.size, accepted,
+            error="" if accepted else str(delivery.report), **resilience,
         )

@@ -16,11 +16,15 @@ must agree on
 
 The baseline's enforced output is also read back the way the receiving
 peer does — ``Document.from_xml`` of its bytes.  When the output is in
-wire normal form (:func:`~repro.doc.normalize.is_wire_normal`) that
-reading must rebuild the enforced tree (node ``==``) and re-serialize
-to the same bytes, or it is reported as a ``round-trip`` disagreement.
-This is the property the gateway's receiver check relies on to check
-the tree instead of the parsed reply.
+wire normal form (as the delivery step,
+:func:`~repro.axml.delivery.deliver`, finds it) that reading must
+rebuild the enforced tree (node ``==``) and re-serialize to the same
+bytes, or it is reported as a ``round-trip`` disagreement.  The
+receiver's verdict on that output — ``InstanceChecker`` over the
+scenario's exchange schema, run on what ``Document.from_xml`` reads from
+the bytes, a parse error counting as a refusal — must be the one the
+delivery step reaches without parsing (report text included) and the
+streamed member's; else it is a ``receiver`` disagreement.
 
 Word-level scenarios are additionally checked against the reference
 interpreter (:mod:`repro.conformance.reference`) — eager, lazy and
@@ -39,6 +43,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.axml.delivery import deliver
 from repro.conformance.fuzzer import (
     DocumentScenario,
     EditScenario,
@@ -52,13 +57,13 @@ from repro.conformance.reference import (
     reference_safe,
 )
 from repro.doc.document import Document
-from repro.doc.normalize import is_wire_normal
-from repro.errors import ReproError, TransientFault
+from repro.errors import DocumentParseError, ReproError, TransientFault
 from repro.obs import MetricsRegistry, Tracer, observing
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.lazy import analyze_safe_lazy
 from repro.rewriting.possible import analyze_possible
 from repro.rewriting.safe import analyze_safe
+from repro.schema.validate import InstanceChecker, ValidationReport
 from repro.services.resilience import ResiliencePolicy, ResilientInvoker
 from repro.services.responders import sampling_invoker
 
@@ -155,6 +160,8 @@ class ConfigOutcome:
     document: Optional[Document] = field(
         default=None, repr=False, compare=False
     )
+    #: The receiver's verdict (accepted?), when ``ok`` and streamed.
+    received: Optional[bool] = None
 
     #: The fields every configuration pair must agree on.
     COMPARED = (
@@ -312,9 +319,11 @@ def _flaky_invoker(invoker, seed: int, period: int):
 
 
 def run_config(
-    scenario: DocumentScenario, config: EngineConfig
+    scenario: DocumentScenario, config: EngineConfig,
+    receiver: Optional[InstanceChecker] = None,
 ) -> ConfigOutcome:
-    """Execute one scenario under one engine configuration."""
+    """Execute one scenario under one engine configuration (a streamed
+    one handed the ``receiver``'s checker)."""
     engine = RewriteEngine(
         target_schema=scenario.exchange_schema,
         sender_schema=scenario.sender_schema,
@@ -341,7 +350,9 @@ def run_config(
 
     outcome = ConfigOutcome(config=config.name, ok=False)
     if config.streamed:
-        return _run_streamed(scenario, config, engine, invoker, outcome)
+        return _run_streamed(
+            scenario, config, engine, invoker, outcome, receiver
+        )
     try:
         if config.observed:
             with observing(Tracer(), MetricsRegistry()):
@@ -366,13 +377,14 @@ def run_config(
 
 
 def round_trip_disagreements(
-    seed: int, outcome: ConfigOutcome
+    seed: int, outcome: ConfigOutcome, normal: bool
 ) -> List[Disagreement]:
-    """An enforced output in wire normal form must parse back to the same
-    tree and re-serialize to the same bytes.  Outputs outside that form
-    (text among siblings, blank or padded text) are not expected to, and
-    are skipped: the gateway checks their parsed bytes instead."""
-    if not outcome.ok or not is_wire_normal(outcome.document.root):
+    """An enforced output in wire normal form (``normal``) must parse back
+    to the same tree and re-serialize to the same bytes.  Outputs outside
+    that form (text among siblings, blank or padded text) are not
+    expected to, and are skipped: the receiver's reading of them is
+    :func:`receiver_disagreements`' concern."""
+    if not outcome.ok or not normal:
         return []
     try:
         reparsed = Document.from_xml(outcome.xml)
@@ -391,26 +403,59 @@ def round_trip_disagreements(
     )]
 
 
+def receiver_disagreements(
+    seed: int, receiver: InstanceChecker, baseline: ConfigOutcome,
+    delivered: ValidationReport, variants: Sequence[ConfigOutcome],
+) -> List[Disagreement]:
+    """The receiver's verdict on the baseline's enforced output, read off
+    its bytes by the parser, against the delivery step's (``delivered``,
+    report text included) and every streamed variant's (accepted or
+    not)."""
+    try:
+        report = receiver.validate(Document.from_xml(baseline.xml).root)
+    except DocumentParseError as error:
+        accepted, expected = False, "unparseable: %s" % error
+    else:
+        accepted, expected = report.ok, str(report)
+    found = []
+    got = str(delivered)
+    if got != expected:
+        found.append(Disagreement(
+            "document", seed, "receiver", "delivery step",
+            _excerpt(expected), _excerpt(got),
+        ))
+    for variant in variants:
+        if variant.received is not None and variant.received != accepted:
+            found.append(Disagreement(
+                "document", seed, "receiver", variant.config,
+                str(accepted), str(variant.received),
+            ))
+    return found
+
+
 def _run_streamed(
     scenario: DocumentScenario,
     config: EngineConfig,
     engine: RewriteEngine,
     invoker,
     outcome: ConfigOutcome,
+    receiver: Optional[InstanceChecker],
 ) -> ConfigOutcome:
     """The streaming pipeline on the scenario's serialized document.
 
     The document is round-tripped through its XML bytes (streaming has
     no DOM to start from), enforced as elements close and re-emitted
     incrementally; the collected emission is compared byte-for-byte
-    against the DOM result.
+    against the DOM result, and the receiver's verdict the pass reached
+    against the one read off the DOM result's bytes.
     """
     from repro.stream.enforce import stream_rewrite
 
     chunks: List[str] = []
     try:
         result = stream_rewrite(
-            engine, scenario.document.to_xml(), invoker, chunks.append
+            engine, scenario.document.to_xml(), invoker, chunks.append,
+            receiver,
         )
     except ReproError as error:
         outcome.error = "%s: %s" % (type(error).__name__, error)
@@ -423,6 +468,8 @@ def _run_streamed(
     outcome.cache_hits = result.cache_hits
     outcome.cache_misses = result.cache_misses
     outcome.degraded = result.degraded_functions
+    if receiver is not None:
+        outcome.received = result.receiver_report.ok
     if config.mutate:
         outcome.xml = (outcome.xml or "") + "<!-- mutated -->"
     return outcome
@@ -437,9 +484,18 @@ def run_document_scenario(
         config for config in matrix
         if not (config.streamed and scenario.mode == "possible")
     ]
-    outcomes = [run_config(scenario, config) for config in configs]
+    receiver = InstanceChecker(scenario.exchange_schema)
+    outcomes = [run_config(scenario, config, receiver) for config in configs]
     baseline, variants = outcomes[0], outcomes[1:]
-    found = round_trip_disagreements(scenario.seed, baseline)
+    found = []
+    if baseline.ok:
+        delivery = deliver(baseline.document, receiver)
+        found += round_trip_disagreements(
+            scenario.seed, baseline, delivery.normal
+        )
+        found += receiver_disagreements(
+            scenario.seed, receiver, baseline, delivery.report, variants
+        )
     for config, variant in zip(configs[1:], variants):
         aspects = ConfigOutcome.COMPARED
         if config.streamed and not baseline.ok and not variant.ok:

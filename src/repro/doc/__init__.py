@@ -29,7 +29,6 @@ from repro.doc.xml_io import document_from_xml, document_to_xml, node_from_xml, 
 from repro.doc.diff import Edit, diff_documents, diff_forests
 from repro.doc.normalize import (
     UnserializableDocumentError,
-    is_wire_normal,
     normalize_document,
     normalize_node,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "diff_documents",
     "diff_forests",
     "UnserializableDocumentError",
-    "is_wire_normal",
     "normalize_document",
     "normalize_node",
 ]

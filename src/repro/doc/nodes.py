@@ -106,12 +106,14 @@ _set_attributes = Element.__dict__["attributes"].__set__
 
 
 def normal_element(label: str, children: Tuple["Node", ...],
-                   attributes: Tuple[Tuple[str, str], ...]) -> Element:
-    """An :class:`Element` whose fields are already what ``__post_init__``
-    makes them (valid interned label, attributes sorted by interned name,
-    none twice), built without its checks: the tree builder and
-    :func:`with_children` use it, every other caller ``Element(...)``."""
-    node = object.__new__(Element)
+                   attributes: Tuple[Tuple[str, str], ...],
+                   kind: type = Element) -> Element:
+    """An :class:`Element` (or subclass ``kind``) whose fields are already
+    what ``__post_init__`` makes them (valid interned label, attributes
+    sorted by interned name, none twice), built without its checks: the
+    tree builder, the stream driver's seals and :func:`with_children`
+    use it, every other caller ``Element(...)``."""
+    node = object.__new__(kind)
     _set_label(node, label)
     _set_children(node, children)
     _set_attributes(node, attributes)

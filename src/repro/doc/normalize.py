@@ -113,32 +113,3 @@ def normalize_document(document: Document) -> Document:
         )
     root = normalize_node(document.root)
     return document if root is document.root else Document(root)
-
-
-def is_wire_normal(node: Node) -> bool:
-    """True iff :func:`normalize_node` would return ``node`` unchanged.
-
-    Such a tree survives the XML round-trip: its bytes parse back to an
-    equal tree.  One walk that builds nothing (the gateway runs it on
-    every reply): every text value is stripped, and a text child of an
-    element is non-blank and that element's only child.
-    """
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Text):
-            if node.value.strip() != node.value:
-                return False
-        elif isinstance(node, Element):
-            kids = node.children
-            for child in kids:
-                if isinstance(child, Text) and (
-                    len(kids) > 1 or not child.value
-                ):
-                    return False
-            stack.extend(kids)
-        elif isinstance(node, FunctionCall):
-            stack.extend(node.params)
-        else:
-            raise TypeError("not a document node: %r" % (node,))
-    return True

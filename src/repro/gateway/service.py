@@ -23,17 +23,13 @@ Architecture notes:
 
 - the HTTP front end is a single-threaded asyncio loop (stdlib only,
   :mod:`repro.gateway.http`); CPU-bound enforcement never runs on it.
-  The JSON and edit-script routes are adapters over one pipeline
-  (resolve → admit → one pool job → release → count → reply,
-  :meth:`Gateway._exchange`): the pool job parses, enforces (the engine
-  inside may fan out via the wave scheduler, ``engine_workers``), runs
-  the receiver check — the receiving peer's own-vocabulary
-  :class:`~repro.schema.validate.InstanceChecker` on the enforced tree,
-  or on the reply's parsed bytes when the tree is not in wire normal
-  form (:func:`~repro.doc.normalize.is_wire_normal`) — and serializes
-  the reply, so the loop only ever awaits.  The
-  streaming route runs the same stages with the reply bridged out of
-  its pool job as it is written;
+  The JSON, edit-script and streaming routes are adapters over one
+  pipeline (resolve → admit → one pool job → release → count → reply,
+  :meth:`Gateway._exchange`): the pool job parses and enforces (the
+  engine inside may fan out via the wave scheduler, ``engine_workers``)
+  and delivers the reply with the receiving peer's verdict on what it
+  reads (:func:`~repro.axml.delivery.deliver`, or the stream driver as
+  elements close), so the loop only ever awaits;
 - every exchange passes the admission gate
   (:class:`~repro.gateway.admission.AdmissionController`): bounded
   queue, per-peer concurrency limits, and per-peer circuit breakers
@@ -55,12 +51,12 @@ import asyncio
 import logging
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
+from repro.axml.delivery import deliver
 from repro.axml.enforcement import EnforcementOutcome, SchemaEnforcer
 from repro.compile.cache import CompilationCache
 from repro.doc.document import Document
-from repro.doc.normalize import is_wire_normal
 from repro.errors import (
     DocumentError,
     DocumentParseError,
@@ -516,31 +512,28 @@ class Gateway:
 
     async def _exchange(self, sender: PeerRecord, receiver: PeerRecord,
                         job: Callable[[float], "_Done"], label: str,
-                        span: str, settle=None, **attributes) -> Response:
+                        span: str, settle=None, bridge: "_Bridge" = None,
+                        **attributes) -> Response:
         """Admit, run one pool job, release, count, reply: the pipeline
-        behind the JSON and edit-script routes.
+        behind every exchange route.
 
-        ``job(started)`` parses and enforces (verify → rewrite →
-        post-check); the same pool job then serializes the enforced
-        tree and runs the receiver check on what the receiver reads (the
-        tree itself when its bytes rebuild it), so the event loop only
-        awaits.  ``settle(done)`` runs on the loop, inside the route's
+        ``job(started)`` enforces; the same pool job then delivers the
+        enforced document (:func:`~repro.axml.delivery.deliver`), unless
+        it streamed the reply through ``bridge`` with the receiver's
+        verdict.  ``settle(done)`` runs on the loop, inside the route's
         span (``attributes``), once the job is back.  A failed
         enforcement, and any refusal raised after admission, count
-        against the sender's breaker.
+        against the sender's breaker.  The receipt is the JSON body, or
+        the streamed reply's trailers.
         """
         checker = receiver.checker(self.compile_cache)
 
         def pooled(started: float) -> _Done:
             done = job(started)
-            if done.outcome.ok:
-                received = done.outcome.document
-                done.wire = received.to_xml()
-                if not is_wire_normal(received.root):
-                    # Its bytes do not rebuild this tree (text among
-                    # siblings): check what the receiver reads, if any.
-                    received = Document.from_xml(done.wire)
-                done.report = checker.validate(received.root)
+            if done.outcome.ok and done.report is None:
+                delivery = deliver(done.outcome.document, checker)
+                done.wire, done.report = delivery.wire, delivery.report
+                done.out = delivery.size
             return done
 
         started = self.clock.now()
@@ -548,64 +541,56 @@ class Gateway:
             sender.name, per_peer_limit=sender.max_inflight
         )
         try:
-            with self.tracer.span(
-                span, sender=sender.name, receiver=receiver.name,
-                **attributes,
-            ) as active:
-                done = await self._loop.run_in_executor(
-                    self._pool, pooled, started
-                )
-                if settle is not None:
-                    settle(done)
-                active.set(**done.span)
-        except BaseException as exc:
+            running = self._loop.run_in_executor(self._pool, pooled, started)
+        except BaseException:
             ticket.release(success=False)
-            if isinstance(exc, DeadlineExceededError):
-                self.metrics.counter(
-                    "repro_gateway_deadline_total",
-                    "Requests aborted by their deadline",
-                ).inc(peer=sender.name)
             raise
-        outcome = done.outcome
-        ticket.release(success=outcome.ok)
-        if done.elapsed is None:
-            done.elapsed = self.clock.now() - started
-        if not outcome.ok:
-            self._count_exchange(label, done.elapsed)
-            raise EnforcementFailedError(outcome.error or "enforcement failed")
-        accepted = done.report.ok
-        self._count_exchange(
-            label, done.elapsed, accepted, len(done.wire.encode("utf-8"))
-        )
-        return Response.json({
-            "accepted": accepted,
-            "document": done.wire,
-            "calls": outcome.calls_made,
-            "already_conformant": outcome.already_conformant,
-            "degraded_functions": list(outcome.degraded_functions),
-            "validation": "" if accepted else str(done.report),
-            "elapsed_seconds": round(done.elapsed, 6),
-            **done.receipt,
-        })
 
-    def _count_exchange(self, label: str, elapsed: float,
-                        accepted: Optional[bool] = None, out: int = 0):
-        """Observe an exchange's time; count a completed one (``accepted``
-        set) and its output bytes."""
-        self.metrics.histogram(
-            "repro_gateway_exchange_seconds",
-            "Enforcement wall time by mode",
-            buckets=TIME_BUCKETS,
-        ).observe(elapsed, mode=label)
-        if accepted is None:
-            return
-        self.metrics.counter(
-            "repro_gateway_exchanges_total",
-            "Completed exchange enforcements",
-        ).inc(accepted=str(accepted).lower(), mode=label)
-        self.metrics.counter(
-            "repro_gateway_bytes_total", "Document bytes through the gateway"
-        ).inc(out, direction="out")
+        async def settled() -> _Done:
+            try:
+                with self.tracer.span(
+                    span, sender=sender.name, receiver=receiver.name,
+                    **attributes,
+                ) as active:
+                    done = await running
+                    if settle is not None:
+                        settle(done)
+                    active.set(**done.span)
+            except BaseException as exc:
+                ticket.release(success=False)
+                if isinstance(exc, DeadlineExceededError):
+                    self.metrics.counter(
+                        "repro_gateway_deadline_total",
+                        "Requests aborted by their deadline",
+                    ).inc(peer=sender.name)
+                raise
+            ticket.release(success=done.outcome.ok)
+            if done.elapsed is None:
+                done.elapsed = self.clock.now() - started
+            self.metrics.histogram(
+                "repro_gateway_exchange_seconds",
+                "Enforcement wall time by mode",
+                buckets=TIME_BUCKETS,
+            ).observe(done.elapsed, mode=label)
+            if done.outcome.ok:  # completed: count it and its bytes
+                self.metrics.counter(
+                    "repro_gateway_exchanges_total",
+                    "Completed exchange enforcements",
+                ).inc(accepted=str(done.report.ok).lower(), mode=label)
+                self.metrics.counter(
+                    "repro_gateway_bytes_total",
+                    "Document bytes through the gateway",
+                ).inc(done.out, direction="out")
+            return done
+
+        if bridge is not None:
+            return bridge.reply(running, settled, ticket)
+        done = await settled()
+        if not done.outcome.ok:
+            raise EnforcementFailedError(
+                done.outcome.error or "enforcement failed"
+            )
+        return Response.json(dict(_receipt(done), document=done.wire))
 
     # -- routes: the exchange ------------------------------------------------
 
@@ -614,12 +599,18 @@ class Gateway:
             request.headers.get("content-type", "").split(";", 1)[0]
             .strip().lower()
         )
-        if content_type == "application/xml":
+        streamed = content_type == "application/xml"
+        if streamed:
             # Streaming exchange: raw XML body (Content-Length or
-            # chunked), parameters in the query string, enforced output
-            # streamed back chunk-by-chunk with the receipt in trailers.
-            return await self._route_exchange_stream(request)
-        payload = request.json()
+            # chunked), parameters in the query string.
+            payload = dict(request.query)
+            for key in ("k", "seed"):  # integers, as a JSON body has them
+                try:
+                    payload[key] = int(payload[key])
+                except (KeyError, ValueError):
+                    pass  # absent, or left for the check to refuse
+        else:
+            payload = request.json()
         sender_name = payload.get("sender")
         receiver_name = payload.get("receiver")
         for role, name in (("sender", sender_name),
@@ -635,6 +626,10 @@ class Gateway:
         seed = payload.get("seed", 0)
         if not isinstance(seed, int):
             raise BadRequestError("'seed' must be an integer")
+        if streamed:
+            return await self._route_exchange_stream(
+                request, sender_name, receiver_name, mode, k, seed
+            )
         document_id = payload.get("document_id")
         if document_id is not None:
             # Edit-script mode: enforce incrementally against the live
@@ -698,14 +693,8 @@ class Gateway:
     # -- routes: the edit-script exchange ------------------------------------
 
     async def _route_exchange_incremental(
-        self,
-        payload: dict,
-        sender_name: str,
-        receiver_name: str,
-        document_id: str,
-        mode: str,
-        k: int,
-        seed: int,
+        self, payload: dict, sender_name: str, receiver_name: str,
+        document_id: str, mode: str, k: int, seed: int,
     ) -> Response:
         """Incremental enforcement against a live per-document session.
 
@@ -804,196 +793,179 @@ class Gateway:
 
     # -- routes: the streaming exchange --------------------------------------
 
-    async def _route_exchange_stream(self, request: Request):
+    async def _route_exchange_stream(self, request: Request, sender_name: str,
+                                     receiver_name: str, mode: str, k: int,
+                                     seed: int) -> StreamingResponse:
         """``POST /exchange`` with an ``application/xml`` body.
 
-        Single-pass enforcement: the body's bytes (already capped at
-        intake — a chunked upload is refused the moment its running
-        count crosses the limit) feed the streaming pipeline, and the
-        enforced serialization is written back with chunked framing
-        while the tail of the document is still being rewritten.  The
-        receipt travels in ``X-Repro-*`` trailers, after the last body
-        byte — including failures discovered mid-stream, when the 200
-        status line is long gone; clients must check ``X-Repro-Ok`` and
-        discard the partial body when it is ``false``.  There is no
-        receiver check: the tree is never held whole, so ``X-Repro-Ok``
-        is the enforcer's verdict.
+        The body's bytes (capped at intake, a chunked upload as soon as
+        its running count crosses the limit) feed single-pass
+        enforcement, handed the receiver's checker; the reply streams
+        back while the tail is still being rewritten, and its receipt
+        follows in ``X-Repro-*`` trailers, failures found mid-stream
+        included: clients keep the body only if ``X-Repro-Accepted`` is
+        ``true``.
         """
-        query = request.query
-        sender_name = query.get("sender", "")
-        receiver_name = query.get("receiver", "")
-        for role, name in (("sender", sender_name),
-                           ("receiver", receiver_name)):
-            if not name:
-                raise BadRequestError("missing %r query parameter" % role)
-        mode = query.get("mode", self.config.mode)
-        if mode not in MODES:
-            raise BadRequestError("mode must be one of %s" % ", ".join(MODES))
         if mode == "possible":
             raise BadRequestError(
                 "the streaming exchange supports safe/auto modes only"
             )
-        if "deadline" in query:
+        if "deadline" in request.query:
             raise BadRequestError(
                 "'deadline' is not supported on the streaming exchange"
             )
-        try:
-            k = int(query.get("k", str(self.config.k)))
-            seed = int(query.get("seed", "0"))
-        except ValueError:
-            raise BadRequestError("'k' and 'seed' must be integers")
-        if k < 1:
-            raise BadRequestError("'k' must be a positive integer")
         if not request.body.strip():
             raise BadRequestError("missing document body")
         sender, receiver = self._peers(sender_name, receiver_name)
-        # The dispatch span: it closes when the response head goes out,
-        # before the body streams, so the settlement is recorded under it.
-        request_span = self.tracer.current()
-
         self.metrics.counter(
             "repro_gateway_bytes_total", "Document bytes through the gateway"
         ).inc(len(request.body), direction="in")
-        started = self.clock.now()
-        ticket = self.admission.admit(
-            sender_name, per_peer_limit=sender.max_inflight
-        )
+        checker = receiver.checker(self.compile_cache)
+        bridge = _Bridge(self._loop)
 
-        loop = self._loop
-        queue: asyncio.Queue = asyncio.Queue(maxsize=64)
-        state = {"outcome": None, "abandoned": False}
-        _DONE = object()
-
-        def push(item) -> None:
-            """Thread side: block until the loop has queue space.
-
-            Re-checks client abandonment every 5s; a consumer that makes
-            no progress for 60s counts as gone too (a sub-8KB/s reader
-            is indistinguishable from a dead one, and the pool thread
-            must not be parked forever).
-            """
-            stalled = 0.0
-            while True:
-                if state["abandoned"] or stalled >= 60.0:
-                    raise ConnectionError("streaming client went away")
-                handle = asyncio.run_coroutine_threadsafe(
-                    queue.put(item), loop
-                )
-                try:
-                    handle.result(timeout=5.0)
-                    return
-                except futures.TimeoutError:
-                    stalled += 5.0
-                    handle.cancel()
-                    try:
-                        # The put may have completed just before the
-                        # cancel; retrying then would duplicate bytes.
-                        handle.result(timeout=5.0)
-                        return
-                    except futures.CancelledError:
-                        continue
-
-        def job() -> None:
-            buffer = []
-            buffered = 0
-
-            def flush() -> None:
-                nonlocal buffered
-                if buffer:
-                    push("".join(buffer))
-                    buffer.clear()
-                    buffered = 0
-
-            def write(text: str) -> None:
-                nonlocal buffered
-                buffer.append(text)
-                buffered += len(text)
-                if buffered >= 8192:
-                    flush()
-
+        def job(_started: float) -> _Done:
             invoker = self._invoker(sender, seed)
             enforcer = self._enforcer(sender, receiver, mode, k)
             try:
                 try:
                     outcome = enforcer.enforce_stream(
-                        request.body, invoker, write
+                        request.body, invoker, bridge.write, checker
                     )
-                    flush()
+                    bridge.flush()
                 except DocumentParseError as exc:
                     outcome = EnforcementOutcome(
                         None, None, False, 0, InvocationLog(),
                         error="unparseable document: %s" % exc,
                     )
-                state["outcome"] = outcome
             finally:
-                push(_DONE)
+                bridge.push(None)
+            return _Done(outcome, {}, {
+                "cache_hits": outcome.cache_hits,
+                "cache_misses": outcome.cache_misses,
+            }, report=outcome.receiver_report, out=bridge.out)
 
-        enforcement = loop.run_in_executor(self._pool, job)
+        def settle(done: _Done) -> None:
+            self.tracer.event(
+                "gateway.exchange-streamed", sender=sender.name,
+                receiver=receiver.name, ok=done.outcome.ok, bytes=done.out,
+            )
+
+        # The request span closes when the response head goes out, before
+        # the body streams: the settlement names it as its parent.
+        return await self._exchange(
+            sender, receiver, job, "stream", "gateway.exchange.stream",
+            settle, bridge,
+            parent_id=getattr(self.tracer.current(), "span_id", None),
+        )
+
+
+#: The receipt fields a streamed reply carries as trailers, when not
+#: empty: ``ok`` and ``error`` are the enforcer's verdict, ``accepted``
+#: and ``validation`` the receiver's.
+TRAILERS = {
+    "ok": "X-Repro-Ok",
+    "error": "X-Repro-Error",
+    "accepted": "X-Repro-Accepted",
+    "calls": "X-Repro-Calls",
+    "already_conformant": "X-Repro-Conformant",
+    "cache_hits": "X-Repro-Cache-Hits",
+    "cache_misses": "X-Repro-Cache-Misses",
+    "degraded_functions": "X-Repro-Degraded",
+    "validation": "X-Repro-Validation",
+}
+
+
+class _Bridge:
+    """The streaming route's thread-to-loop bridge: the pool job writes
+    the reply, which reaches the loop through a bounded queue in chunks
+    of about 8 KB; ``None`` ends it."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=64)
+        self.buffer: List[str] = []
+        self.buffered = 0
+        self.out = 0  # body bytes handed to the loop
+        self.abandoned = False
+
+    def write(self, text: str) -> None:
+        self.buffer.append(text)
+        self.buffered += len(text)
+        if self.buffered >= 8192:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.buffer:
+            data = "".join(self.buffer).encode("utf-8")
+            self.buffer.clear()
+            self.buffered = 0
+            self.out += len(data)
+            self.push(data)
+
+    def push(self, item: Optional[bytes]) -> None:
+        """Thread side: block until the loop has queue space, re-checking
+        every 5s that the client is still there; one that makes no
+        progress for 60s counts as gone too (a sub-8KB/s reader is
+        indistinguishable from a dead one, and the pool thread must not
+        be parked forever)."""
+        stalled = 0.0
+        while True:
+            if self.abandoned or stalled >= 60.0:
+                raise ConnectionError("streaming client went away")
+            handle = asyncio.run_coroutine_threadsafe(
+                self.queue.put(item), self.loop
+            )
+            try:
+                handle.result(timeout=5.0)
+                return
+            except futures.TimeoutError:
+                stalled += 5.0
+                handle.cancel()
+                try:
+                    # The put may have completed just before the
+                    # cancel; retrying then would duplicate bytes.
+                    handle.result(timeout=5.0)
+                    return
+                except futures.CancelledError:
+                    continue
+
+    def reply(self, running: asyncio.Future, settled, ticket
+              ) -> StreamingResponse:
+        """The response: the body as the job writes it, then the receipt
+        ``settled()`` returns as trailers."""
         # Retrieve the job's exception even when the client vanishes and
         # nobody awaits the future (silences the never-retrieved warning).
-        enforcement.add_done_callback(lambda fut: fut.exception())
+        running.add_done_callback(lambda fut: fut.exception())
+        receipts: List[_Done] = []
 
-        async def chunks():
-            bytes_out = 0
+        async def body():
             try:
-                while True:
-                    item = await queue.get()
-                    if item is _DONE:
-                        break
-                    data = item.encode("utf-8")
-                    bytes_out += len(data)
+                while (data := await self.queue.get()) is not None:
                     yield data
-                await asyncio.wait({enforcement})
-                outcome = state["outcome"]
-                ok = (
-                    enforcement.exception() is None
-                    and outcome is not None and outcome.ok
-                )
-                ticket.release(success=ok)
-                self._count_exchange(
-                    "stream", self.clock.now() - started, ok, bytes_out
-                )
-                with self.tracer.span(
-                    "gateway.exchange.stream",
-                    parent_id=getattr(request_span, "span_id", None),
-                    sender=sender_name, receiver=receiver_name,
-                ):
-                    self.tracer.event(
-                        "gateway.exchange-streamed", sender=sender_name,
-                        receiver=receiver_name, ok=ok, bytes=bytes_out,
-                    )
+                await asyncio.wait({running})
             except BaseException:
-                state["abandoned"] = True
+                self.abandoned = True
                 ticket.release(success=False)
                 raise
+            try:
+                receipts.append(await settled())
+            except Exception:  # the 200 is out: report it in the trailers
+                _log.exception("streamed exchange did not complete")
 
         def trailers():
-            outcome = state["outcome"]
-            if outcome is None:
-                return {"X-Repro-Ok": "false",
-                        "X-Repro-Error": "enforcement did not complete"}
-            fields = {
-                "X-Repro-Ok": str(outcome.ok).lower(),
-                "X-Repro-Calls": str(outcome.calls_made),
-                "X-Repro-Conformant": str(outcome.already_conformant).lower(),
-                "X-Repro-Cache-Hits": str(outcome.cache_hits),
-                "X-Repro-Cache-Misses": str(outcome.cache_misses),
-            }
-            if outcome.degraded_functions:
-                fields["X-Repro-Degraded"] = ",".join(outcome.degraded_functions)
-            if outcome.error:
-                fields["X-Repro-Error"] = outcome.error.replace(
-                    "\r", " "
-                ).replace("\n", " ")
-            return fields
+            receipt = {"ok": False, "accepted": False,
+                       "error": "enforcement did not complete"}
+            if receipts:
+                outcome = receipts[0].outcome
+                receipt = dict(_receipt(receipts[0]), ok=outcome.ok,
+                               error=outcome.error or "")
+            return {TRAILERS[key]: _trailer(value)
+                    for key, value in receipt.items()
+                    if key in TRAILERS and value != "" and value != []}
 
         return StreamingResponse(
-            chunks=chunks(),
-            content_type="application/xml",
-            headers={
-                "Trailer": "X-Repro-Ok, X-Repro-Calls, X-Repro-Conformant, "
-                           "X-Repro-Cache-Hits, X-Repro-Cache-Misses",
-            },
+            chunks=body(), content_type="application/xml",
+            headers={"Trailer": ", ".join(TRAILERS.values())},
             trailers=trailers,
         )
 
@@ -1002,8 +974,8 @@ class Gateway:
 class _Done:
     """One exchange's pool job, as handed back to the event loop: the
     outcome (an :class:`EnforcementOutcome` or a session's), the route's
-    end-of-span attributes and receipt fields, and — when enforcement
-    succeeded — the serialized reply and the receiver's verdict on it."""
+    end-of-span attributes and receipt fields, and, once enforcement
+    succeeded, the reply and the receiver's verdict on it."""
 
     outcome: object
     span: dict
@@ -1013,8 +985,34 @@ class _Done:
     elapsed: Optional[float] = None
     #: The session the job opened or edited (edit-script route).
     session: object = None
-    wire: str = ""
+    wire: str = ""  # the reply, unless it was streamed
     report: Optional[ValidationReport] = None
+    out: int = 0  # reply bytes
+
+
+def _receipt(done: _Done) -> dict:
+    """One exchange's receipt: the JSON body's fields (beside the
+    document), and the streamed reply's trailers (:data:`TRAILERS`)."""
+    outcome = done.outcome
+    accepted = outcome.ok and done.report.ok
+    return {
+        "accepted": accepted,
+        "calls": outcome.calls_made,
+        "already_conformant": outcome.already_conformant,
+        "degraded_functions": list(outcome.degraded_functions),
+        "validation": "" if accepted or not outcome.ok else str(done.report),
+        "elapsed_seconds": round(done.elapsed, 6),
+        **done.receipt,
+    }
+
+
+def _trailer(value) -> str:
+    """A receipt value as a header field value."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        value = ",".join(value)
+    return str(value).replace("\r", " ").replace("\n", " ")
 
 
 def _parse(document_xml: str) -> Document:

@@ -21,17 +21,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.bitset import BitDFA
 from repro.automata.glushkov import glushkov_nfa
-from repro.automata.symbols import Alphabet, class_matches, regex_symbols
+from repro.automata.symbols import DATA, Alphabet, class_matches, regex_symbols
 from repro.compile import context as compile_context
 from repro.doc.nodes import (
     Element,
+    FunctionCall,
     Node,
     Text,
     children_of,
     iter_subtree,
     symbol_of,
 )
-from repro.doc.paths import Path, child_word, iter_nodes
+from repro.doc.paths import Path
+from repro.errors import DocumentParseError
 from repro.obs import context as obs
 from repro.obs.metrics import record_work
 from repro.regex.ast import Regex, alt, atom
@@ -42,13 +44,20 @@ from repro.schema.model import FunctionSignature, Schema, _substitute
 class Violation:
     """One reason a document fails to be an instance of a schema."""
 
-    path: Path
+    #: Where, or None where no position is known: a streamed word (its
+    #: position is not final when it closes) or a reply the receiver
+    #: cannot parse.
+    path: Optional[Path]
     symbol: str
-    kind: str  # "undeclared-label" | "undeclared-function" | "content" | "input"
+    #: "undeclared-label" | "undeclared-function" | "content" | "input",
+    #: or "unparseable" (the parser's refusal: there is no tree).
+    kind: str
     message: str
 
     def __str__(self) -> str:
-        where = "/" + "/".join(str(i) for i in self.path) if self.path else "/"
+        if self.path is None:
+            return "%s: %s" % (self.kind, self.message)
+        where = "/" + "/".join(str(i) for i in self.path)
         return "%s at %s: %s" % (self.kind, where, self.message)
 
 
@@ -178,23 +187,91 @@ class InstanceChecker:
     def validate(self, root: Node, strict: bool = True) -> ValidationReport:
         """Every violation under ``root``, in document order; only the
         nodes that failed are diagnosed."""
-        report = ValidationReport()
+        return self._walk(root, strict, False)[0]
+
+    def receive(self, root: Node) -> Tuple[ValidationReport, bool]:
+        """The verdict of the peer holding this checker on what it reads
+        from the serialization of ``root``, reached without parsing.
+
+        Each element's children word is read as the tree builder reads it
+        back (:func:`repro.stream.builder.read_word`), and paths number
+        the nodes the receiver reads.  Mixed content is the parser's
+        refusal: the first one in document order becomes the only,
+        pathless, ``unparseable`` violation.  Also returns whether those
+        bytes rebuild ``root`` itself (wire normal form: every text
+        stripped, and a text child of an element non-blank and its only
+        child); the report is then :meth:`validate`'s.
+        """
+        return self._walk(root, True, True)
+
+    def _walk(self, root: Node, strict: bool,
+              read: bool) -> Tuple[ValidationReport, bool]:
+        """:meth:`validate`, or with ``read`` :meth:`receive`: one
+        iterative pre-order walk; one ``check`` work record."""
+        if read:
+            from repro.stream.builder import read_word
+        violations: List[Violation] = []
+        normal = True
         words = 0
-        for path, node in iter_nodes(root):
-            if isinstance(node, Text):
-                continue
+        stack: list = [((), root)] if type(root) is not Text else []
+        while stack:
+            path, node = stack.pop()
+            if path is None:  # the builder refuses here, in event order
+                violations = [node]
+                break
+            call = type(node) is FunctionCall
+            kids = node.params if call else node.children
+            word = tuple(map(symbol_of, kids))
+            if read and DATA in word:
+                if call:
+                    normal = normal and all(
+                        type(kid) is not Text or kid.value == kid.value.strip()
+                        for kid in kids
+                    )
+                else:
+                    value = kids[0].value if len(kids) == 1 else ""
+                    normal = normal and bool(value) and value == value.strip()
+                    try:
+                        seen = read_word(node.label, kids, word)
+                    except DocumentParseError as exc:
+                        # Refused at the first tag after the first
+                        # non-blank text, once the subtrees before that
+                        # text are read.
+                        stack.append((None, Violation(
+                            None, node.label, "unparseable", str(exc)
+                        )))
+                        first = next(
+                            index for index, kid in enumerate(kids)
+                            if type(kid) is Text and kid.value.strip()
+                        )
+                        lead = [kid for kid in kids[:first]
+                                if type(kid) is not Text]
+                        stack.extend(
+                            (path + (index,), lead[index])
+                            for index in range(len(lead) - 1, -1, -1)
+                        )
+                        continue
+                    if seen is not word:  # texts vanished
+                        word = seen
+                        kids = [kid for kid in kids if type(kid) is not Text]
             words += 1
-            if not self.local_ok(node, strict):
-                report.violations.append(self._violation(path, node))
-        diagnoses = sum(
-            v.kind in ("content", "input") for v in report.violations
-        )
+            expr = self._type_of(node)
+            if not (not strict if expr is None else self.word_ok(word, expr)):
+                violations.append(self.violation(path, node, word))
+            for index in range(len(kids) - 1, -1, -1):
+                kid = kids[index]
+                if type(kid) is not Text:
+                    stack.append((path + (index,), kid))
+        diagnoses = sum(v.kind in ("content", "input") for v in violations)
         record_work(
             obs.metrics(), "check", {"words": words, "diagnoses": diagnoses}
         )
-        return report
+        return ValidationReport(violations), normal
 
-    def _violation(self, path: Path, node: Node) -> Violation:
+    def violation(self, path: Optional[Path], node: Node,
+                  word: Sequence[str]) -> Violation:
+        """Why ``node``, whose children word is ``word``, fails Definition
+        3 (the word is diagnosed when the symbol is declared)."""
         element = isinstance(node, Element)
         symbol = node.label if element else node.name
         expr = self._type_of(node)
@@ -208,7 +285,6 @@ class InstanceChecker:
                 path, symbol, "undeclared-function",
                 "function %r has no declared signature" % symbol,
             )
-        word = child_word(node)
         template = (
             "children word %s does not match %s (%s)" if element
             else "parameters %s do not match input type %s (%s)"

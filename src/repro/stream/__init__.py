@@ -9,15 +9,25 @@ being parsed (:mod:`repro.stream.enforce`).  See ``docs/STREAMING.md``
 for the memory model and the event contract.
 """
 
-from repro.stream.builder import TreeBuilder
-from repro.stream.enforce import StreamResult, stream_rewrite
-from repro.stream.parser import iter_events
-from repro.stream.seal import SealedElement
+import importlib
 
-__all__ = [
-    "TreeBuilder",
-    "StreamResult",
-    "stream_rewrite",
-    "iter_events",
-    "SealedElement",
-]
+#: Each export's module, imported on first use: every document parse
+#: runs the tree builder, and must not bring in the driver with it.
+_EXPORTS = {
+    "TreeBuilder": "repro.stream.builder",
+    "StreamResult": "repro.stream.enforce",
+    "stream_rewrite": "repro.stream.enforce",
+    "iter_events": "repro.stream.parser",
+    "SealedElement": "repro.stream.seal",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    return getattr(importlib.import_module(module), name)

@@ -29,14 +29,49 @@ child.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.automata.symbols import DATA
 from repro.doc.names import FUN_TAG, PARAM_TAG, PARAMS_TAG
 from repro.doc.nodes import FunctionCall, Node, Text, normal_element
 from repro.errors import DocumentParseError
 from repro.stream.parser import Source, clark, feed
 
 _MIXED = "mixed content under <%s> is not part of the simple model"
+
+
+def read_word(label: str, children: Sequence[Node],
+              word: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The children word the builder reads back from the serialization of
+    an element ``label`` whose ``children`` have the symbols ``word``.
+
+    The serializer puts each child on a line of its own, and
+    :meth:`TreeBuilder._flush_text` reads the lines back by this rule:
+
+    - blank texts vanish;
+    - a non-blank text beside any other child is mixed content, which
+      the builder refuses (:class:`DocumentParseError`, its message);
+    - texts alone read as one ``#data``.
+
+    A call's parameters read as they are: each ``int:param`` keeps its
+    own tree.  Returns ``word`` itself when it holds no text.
+    """
+    if DATA not in word:
+        return word
+    if len(word) == 1:
+        return word if children[0].value.strip() else ()
+    kept = []
+    text = False
+    for child, symbol in zip(children, word):
+        if type(child) is not Text:
+            kept.append(symbol)
+        elif child.value.strip():
+            text = True
+        else:
+            continue
+        if text and kept:
+            raise DocumentParseError(_MIXED % label)
+    return (DATA,) if text else tuple(kept)
 
 
 class Frame:
@@ -107,7 +142,8 @@ class TreeBuilder:
     def _flush_text(self) -> None:
         """Hand the text since the last tag to the open frame, dropping it
         where the frame cannot keep it (under ``int:fun``/``int:params``,
-        or after a first child, where it must be blank)."""
+        or after a first child, where it must be blank): the text rule
+        :func:`read_word` states on trees."""
         parts = self._text
         value = parts[0] if len(parts) == 1 else "".join(parts)
         parts.clear()

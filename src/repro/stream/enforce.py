@@ -18,6 +18,13 @@ function call (whose expansion is unknown until the parent's word is
 rewritten) stay resident.  Peak memory is O(depth + buffered siblings)
 instead of O(document).
 
+Receiver: handed the receiving peer's checker, the driver also reaches
+that peer's verdict on what it reads, the one
+:func:`repro.axml.delivery.deliver` reaches on the whole tree: each
+closing word read as the tree builder reads the bytes back
+(:func:`~repro.stream.builder.read_word`), and every subtree the word
+brought in unsealed (answers, kept calls) walked whole.
+
 Emission: an element's start tag is written as soon as its final print
 form is certain (any open child element, or ≥2 settled children, or one
 settled non-text child force the multi-line form); settled children
@@ -39,20 +46,20 @@ Guarantees and caveats (see ``docs/STREAMING.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple
 from xml.sax.saxutils import escape
 
-from repro.doc.nodes import FunctionCall, Node, Text, symbol_of
+from repro.doc.nodes import Element, FunctionCall, Node, Text, symbol_of
 from repro.doc.xml_io import _declare_int_ns
-from repro.errors import RewriteError, SchemaError
+from repro.errors import DocumentParseError, RewriteError, SchemaError
 from repro.obs import context as obs
 from repro.obs.metrics import record_work
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
 from repro.rewriting.plan import InvocationLog
-from repro.schema.validate import InstanceChecker
-from repro.stream.builder import Frame, TreeBuilder
-from repro.stream.seal import SealedElement
+from repro.schema.validate import InstanceChecker, ValidationReport, Violation
+from repro.stream.builder import Frame, TreeBuilder, read_word
+from repro.stream.seal import SealedElement, sealed
 from repro.stream.serialize import (
     XML_HEADER,
     LineWriter,
@@ -79,6 +86,9 @@ class StreamResult:
     #: Peak open-frame depth and peak buffered-sibling count observed.
     peak_depth: int = 0
     peak_buffered: int = 0
+    #: The receiver's verdict on what it reads, when the pass was handed
+    #: its checker: at most the first violation met, without a path.
+    receiver_report: Optional[ValidationReport] = None
 
     @property
     def calls_made(self) -> int:
@@ -106,11 +116,14 @@ class _StreamDriver(TreeBuilder):
         invoker,
         write: Callable[[str], None],
         checker: InstanceChecker,
+        receiver: Optional[InstanceChecker] = None,
     ):
         super().__init__()
         self.engine = engine
         self.invoker = invoker
         self.checker = checker
+        self.receiver = receiver
+        self.refusal: Optional[Violation] = None
         self.words_checked = 0
         self.log = InvocationLog()
         self.stats = {"words": 0, "product": 0, "mode": SAFE}
@@ -144,39 +157,46 @@ class _StreamDriver(TreeBuilder):
     ) -> Node:
         state = self.states.pop()
         engine = self.engine
-        content = engine.target_schema.type_of(frame.label)
+        label = frame.label
+        content = engine.target_schema.type_of(label)
         if content is None:
             raise SchemaError(
                 "element label %r is not declared by the target schema"
-                % frame.label
+                % label
             )
         checker = self.checker
+        children = tuple(frame.children)
+        word = None
         if self.conformant:
             # Conformance of the original document, tracked as it closes.
+            word = tuple(map(symbol_of, children))
             self.words_checked += 1
-            self.conformant = checker.word_ok(
-                tuple(map(symbol_of, frame.children)), content
-            )
+            self.conformant = checker.word_ok(word, content)
         rewritten = engine.rewrite_forest(
-            frame.children, content, self.invoker, self.log, self.stats
+            children, content, self.invoker, self.log, self.stats
         )
-        new_word = tuple(symbol_of(child) for child in rewritten)
+        if word is None or rewritten is not children:
+            word = tuple(map(symbol_of, rewritten))
         self.words_checked += 1
-        if not checker.word_ok(new_word, content):
+        if not checker.word_ok(word, content):
             raise RewriteError(
                 "rewriting produced a non-conformant document: "
                 "children word %s does not match %s"
-                % (".".join(new_word) or "eps", content)
+                % (".".join(word) or "eps", content)
             )
-        pad = "  " * state.depth
+        chunk = None
         if state.start_emitted:
             for child in rewritten[state.flushed:]:
                 self._emit_child(child, state.depth + 1)
-            self.writer.line("%s</%s>" % (pad, frame.label))
+            self.writer.line("%s</%s>" % ("  " * state.depth, label))
             self._just_streamed = True
-            return SealedElement(frame.label, (), attributes, None)
-        chunk = self._assemble_chunk(frame.label, attributes, rewritten, state.depth)
-        return SealedElement(frame.label, (), attributes, chunk)
+        else:
+            chunk = self._assemble_chunk(label, attributes, rewritten,
+                                         state.depth)
+        node = sealed(label, attributes, chunk)
+        if self.receiver is not None and self.refusal is None:
+            self._receive(node, rewritten, word)
+        return node
 
     def child_closed(self, node: Node) -> None:
         if self.conformant and isinstance(node, FunctionCall):
@@ -195,6 +215,36 @@ class _StreamDriver(TreeBuilder):
         if buffered > self.peak_buffered:
             self.peak_buffered = buffered
         self._pump(state, frame)
+
+    # -- the receiver's verdict -------------------------------------------
+
+    def _receive(self, node: Element, children: Tuple[Node, ...],
+                 word: Tuple[str, ...]) -> None:
+        """The receiver's check of one closing word, read as it reads the
+        bytes, and of every subtree the rewrite brought in unsealed
+        (answers and kept calls); the first violation met stands."""
+        receiver = self.receiver
+        self.words_checked += 1
+        try:
+            read = read_word(node.label, children, word)
+        except DocumentParseError as exc:
+            self.refusal = Violation(None, node.label, "unparseable", str(exc))
+            return
+        expr = receiver.schema.type_of(node.label)
+        if expr is None or not receiver.word_ok(read, expr):
+            self.refusal = receiver.violation(None, node, read)
+            return
+        for child in children:
+            kind = type(child)
+            if kind is Element or kind is FunctionCall:
+                self._receive_tree(child)
+                if self.refusal is not None:
+                    return
+
+    def _receive_tree(self, node: Node) -> None:
+        report, _normal = self.receiver.receive(node)
+        if not report.ok:
+            self.refusal = replace(report.violations[0], path=None)
 
     # -- emission ----------------------------------------------------------
 
@@ -277,6 +327,8 @@ class _StreamDriver(TreeBuilder):
             final = self.engine.rewrite_node(
                 node, self.invoker, self.log, self.stats
             )
+            if self.receiver is not None:
+                self._receive_tree(final)
             self.writer.line(XML_HEADER)
             self.writer.line(
                 _declare_int_ns("\n".join(serialize_lines(final, 0)))
@@ -294,6 +346,7 @@ def stream_rewrite(
     source,
     invoker,
     write: Callable[[str], None],
+    receiver: Optional[InstanceChecker] = None,
 ) -> StreamResult:
     """Enforce one document from an XML source, streaming the output.
 
@@ -303,16 +356,20 @@ def stream_rewrite(
     the same errors as :meth:`RewriteEngine.rewrite`
     (:class:`DocumentParseError` for malformed input, rewrite/schema
     errors when the guarantee cannot be met); on error the sink holds a
-    partial prefix that must be discarded.
+    partial prefix that must be discarded.  Handed the receiving peer's
+    checker, the pass also reaches its verdict on what it reads
+    (``receiver_report``), as the DOM delivery step
+    (:func:`repro.axml.delivery.deliver`) does on the whole tree.
     """
     checker = InstanceChecker(
         engine.target_schema, engine.sender_schema, engine.compile_cache
     )
-    return _stream_rewrite(engine, source, invoker, write, checker)
+    return _stream_rewrite(engine, source, invoker, write, checker, receiver)
 
 
 def _stream_rewrite(
-    engine: RewriteEngine, source, invoker, write, checker: InstanceChecker
+    engine: RewriteEngine, source, invoker, write, checker: InstanceChecker,
+    receiver: Optional[InstanceChecker] = None,
 ) -> StreamResult:
     """:func:`stream_rewrite` checking through ``checker`` (an
     enforcer's, so a pass compiles nothing)."""
@@ -322,7 +379,7 @@ def _stream_rewrite(
             "possible-mode execution may invoke services on conformant "
             "words, diverging from the DOM path"
         )
-    driver = _StreamDriver(engine, invoker, write, checker)
+    driver = _StreamDriver(engine, invoker, write, checker, receiver)
     hits_before, misses_before = engine.cache_stats
     with obs.tracer().span(
         "document", mode=engine.mode, k=engine.k, stream=True
@@ -341,6 +398,10 @@ def _stream_rewrite(
             peak_depth=driver.peak_depth,
             peak_buffered=driver.peak_buffered,
         )
+        if receiver is not None:
+            result.receiver_report = ValidationReport(
+                [driver.refusal] if driver.refusal is not None else []
+            )
         span.set(
             mode_used=result.mode_used,
             words=result.words_rewritten,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.doc.nodes import Element, Node
+from repro.doc.nodes import Element, Node, normal_element
 
 
 class SealedElement(Element):
@@ -39,7 +39,7 @@ class SealedElement(Element):
         chunk: Optional[str] = None,
     ):
         super().__init__(label, children, attributes)
-        object.__setattr__(self, "chunk", chunk)
+        _set_chunk(self, chunk)
 
     def __eq__(self, other):
         if isinstance(other, Element):
@@ -52,4 +52,18 @@ class SealedElement(Element):
 
     def hollow(self) -> "SealedElement":
         """Drop the chunk and children once the bytes are written."""
-        return SealedElement(self.label, (), self.attributes, None)
+        return sealed(self.label, self.attributes, None)
+
+
+_set_chunk = SealedElement.__dict__["chunk"].__set__
+
+
+def sealed(label: str, attributes: Tuple[Tuple[str, str], ...],
+           chunk: Optional[str]) -> SealedElement:
+    """A childless :class:`SealedElement` over a label and attributes the
+    tree builder already normalized, built as
+    :func:`~repro.doc.nodes.normal_element` builds an element: without
+    re-running ``Element.__post_init__``."""
+    node = normal_element(label, (), attributes, SealedElement)
+    _set_chunk(node, chunk)
+    return node

@@ -229,8 +229,8 @@ class TestDifferentialRunner:
         # an output is off wire normal form and its bytes need not (and
         # here do not) rebuild it, which is no disagreement.
         from repro.doc.document import Document
-        from repro.doc.normalize import is_wire_normal
         from repro.errors import ReproError
+        from repro.schema.validate import InstanceChecker
 
         lossy = normal = 0
         for seed in range(40):
@@ -238,8 +238,13 @@ class TestDifferentialRunner:
             baseline = run_config(scenario, DEFAULT_MATRIX[0])
             if not baseline.ok:
                 continue
-            assert round_trip_disagreements(seed, baseline) == []
-            if is_wire_normal(baseline.document.root):
+            _report, wire_normal = InstanceChecker(
+                scenario.exchange_schema
+            ).receive(baseline.document.root)
+            assert round_trip_disagreements(
+                seed, baseline, wire_normal
+            ) == []
+            if wire_normal:
                 normal += 1
                 continue
             try:
@@ -249,6 +254,70 @@ class TestDifferentialRunner:
             if reparsed != baseline.document.root:
                 lossy += 1
         assert lossy and normal
+
+    def test_receiver_check_catches_a_stream_skipping_the_reading_rule(
+        self, monkeypatch
+    ):
+        # Fuzzed text answers put mixed content into some outputs: the
+        # receiver cannot parse those bytes, so the streamed verdict must
+        # refuse them too; a stream that reads each word as it is
+        # accepts them.
+        from repro.stream import enforce
+
+        seeds = [
+            seed for seed in range(40)
+            if fuzz_document_scenario(seed).mode != "possible"
+        ]
+        for seed in seeds:
+            assert run_document_scenario(fuzz_document_scenario(seed)) == []
+        monkeypatch.setattr(
+            enforce, "read_word", lambda label, children, word: word
+        )
+        found = [
+            disagreement for seed in seeds
+            for disagreement in run_document_scenario(
+                fuzz_document_scenario(seed)
+            )
+        ]
+        assert found
+        assert {(f.config, f.aspect, f.expected, f.got) for f in found} == {
+            ("receiver", "streamed", "False", "True")
+        }
+
+    def test_receiver_check_catches_a_stream_skipping_kept_calls(
+        self, monkeypatch
+    ):
+        # The enforcer reads g's signature from the sender and keeps the
+        # call; the receiver (the exchange schema alone) does not declare
+        # g, so every path must refuse, the stream by checking the call
+        # it kept.
+        from repro.doc.builder import call, el
+        from repro.doc.document import Document
+        from repro.doc.nodes import FunctionCall
+        from repro.schema.model import SchemaBuilder
+        from repro.stream.enforce import _StreamDriver
+
+        scenario = DocumentScenario(
+            seed=0, k=1, mode="safe",
+            sender_schema=SchemaBuilder().element("r", "g")
+            .element("x", "data").function("g", "eps", "x").root("r")
+            .build(strict=False),
+            exchange_schema=SchemaBuilder().element("r", "g | x")
+            .element("x", "data").root("r").build(strict=False),
+            document=Document(el("r", call("g"))),
+        )
+        assert run_document_scenario(scenario) == []
+        check = _StreamDriver._receive_tree
+        monkeypatch.setattr(
+            _StreamDriver, "_receive_tree",
+            lambda driver, node: (
+                None if type(node) is FunctionCall else check(driver, node)
+            ),
+        )
+        found = run_document_scenario(scenario)
+        assert [(f.config, f.aspect) for f in found] == [
+            ("receiver", "streamed")
+        ]
 
     def test_flaky_resilient_config_matches_baseline(self):
         # Find a scenario with a fault schedule and embedded calls: the

@@ -115,14 +115,14 @@ class TestEditScriptMode:
             gateway.gateway.compile_cache
         )
         threads = []
-        validate = InstanceChecker.validate
+        receive = InstanceChecker.receive
 
-        def recording_validate(checker, root, strict=True):
+        def recording_receive(checker, root):
             if checker is receiver_checker:
                 threads.append(threading.current_thread())
-            return validate(checker, root, strict)
+            return receive(checker, root)
 
-        monkeypatch.setattr(InstanceChecker, "validate", recording_validate)
+        monkeypatch.setattr(InstanceChecker, "receive", recording_receive)
 
         async def go():
             client = GatewayClient(gateway.host, gateway.port)

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.doc.nodes import Text
 from repro.gateway import GatewayClient, GatewayConfig, GatewayThread
 from repro.gateway.http import parse_chunked_response
 from repro.gateway.loadgen import OBLIGATIONS, _scenario, direct_enforcement
@@ -75,14 +76,14 @@ class TestRoundTrip:
             gateway.gateway.compile_cache
         )
         threads = []
-        validate = InstanceChecker.validate
+        receive = InstanceChecker.receive
 
-        def recording_validate(checker, root, strict=True):
+        def recording_receive(checker, root):
             if checker is receiver_checker:
                 threads.append(threading.current_thread())
-            return validate(checker, root, strict)
+            return receive(checker, root)
 
-        monkeypatch.setattr(InstanceChecker, "validate", recording_validate)
+        monkeypatch.setattr(InstanceChecker, "receive", recording_receive)
 
         async def go():
             client = GatewayClient(gateway.host, gateway.port)
@@ -207,8 +208,9 @@ def _text_answer_scenario(output: str, receiver_content: str,
     )
 
 
-def _exchange_and_open(gateway, scenario, document_id):
-    """Register the scenario's peers; the JSON reply and a session open."""
+def _exchange_open_and_stream(gateway, scenario, document_id):
+    """Register the scenario's peers; the JSON reply, a session open and
+    the streamed reply (parsed)."""
     sender_xsd, receiver_xsd, document_xml = scenario
 
     async def go():
@@ -225,59 +227,119 @@ def _exchange_and_open(gateway, scenario, document_id):
         finally:
             await client.close()
 
-    return run(go())
+    plain, opened = run(go())
+    streamed = run(_streamed(gateway, "sender=carol&receiver=dave",
+                             document_xml))
+    return plain, opened, streamed
+
+
+async def _streamed(gateway, query: str, document_xml: str):
+    """One streamed exchange on its own connection, parsed."""
+    reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
+    body = document_xml.encode("utf-8")
+    writer.write((
+        "POST /exchange?%s HTTP/1.1\r\nHost: gw\r\n"
+        "Content-Type: application/xml\r\nContent-Length: %d\r\n"
+        "Connection: close\r\n\r\n" % (query, len(body))
+    ).encode("latin-1") + body)
+    await writer.drain()
+    blob = await asyncio.wait_for(reader.read(), timeout=30)
+    writer.close()
+    return parse_chunked_response(blob)
+
+
+def _network_send(scenario, answer, with_network=False):
+    """The scenario as a ``PeerNetwork`` transfer from carol to dave,
+    whose agreement is dave's vocabulary; carol's service answers every
+    call ``g`` with ``answer``."""
+    from repro import AXMLPeer, PeerNetwork, Service, constant_responder
+    from repro.doc.document import Document
+    from repro.xschema.compile import compile_xschema
+    from repro.xschema.parser import parse_xschema
+
+    sender_xsd, receiver_xsd, document_xml = scenario
+    sender, receiver = (compile_xschema(parse_xschema(xsd))
+                        for xsd in (sender_xsd, receiver_xsd))
+    carol = AXMLPeer("carol", sender, parallelism=1)
+    service = Service("urn:g", "urn:g")
+    service.add_operation(
+        "g", sender.signature_of("g"), constant_responder(answer)
+    )
+    carol.registry.register(service)
+    network = PeerNetwork()
+    network.add_peer(carol)
+    network.add_peer(AXMLPeer("dave", receiver))
+    network.agree("carol", "dave", receiver)
+    carol.repository.store("doc", Document.from_xml(document_xml))
+    receipt = network.send("carol", "dave", "doc")
+    return (receipt, network) if with_network else receipt
 
 
 class TestReceiverVerdict:
     """``accepted`` is the receiver's own-vocabulary verdict, not the
     enforcer's (which also reads the sender's signatures), on what the
-    receiver reads: the reply's bytes."""
+    receiver reads: the reply's bytes.  The JSON route, a session open,
+    the streaming route (``X-Repro-Accepted``) and ``PeerNetwork.send``
+    all reach it, and none raises."""
 
-    def test_mixed_content_reply_is_a_library_error(self, gateway):
+    def test_mixed_content_reply_is_refused(self, gateway):
         # g answers one text node, spliced in next to <x>: the enforced
         # tree conforms, but its bytes are mixed content, which no peer
         # parses back.
+        refusal = "mixed content under <r> is not part of the simple model"
         scenario = _text_answer_scenario("data", "x.data", "x.g")
-        for reply in _exchange_and_open(gateway, scenario, "doc-mixed"):
-            assert reply.status == 500, reply.body
-            assert reply.error_code == "library-error"
-            assert "mixed content" in reply.json()["detail"]
-
-    def test_adjacent_text_reply_is_checked_as_parsed(self, gateway):
-        # Two text nodes serialize as one text run: the receiver reads a
-        # single data value, which 'data.data' does not admit.
-        scenario = _text_answer_scenario("data.data", "data.data", "g")
-        for reply in _exchange_and_open(gateway, scenario, "doc-texts"):
+        plain, opened, streamed = _exchange_open_and_stream(
+            gateway, scenario, "doc-mixed"
+        )
+        for reply in (plain, opened):
             assert reply.status == 200, reply.body
             payload = reply.json()
             assert payload["calls"] == 1
             assert payload["accepted"] is False
-            assert payload["validation"] == (
-                "content at /: children word #data does not match "
-                "#data.#data (word ends too early; expected #data)"
-            )
+            assert payload["validation"] == "unparseable: " + refusal
+        status, _headers, _body, trailers = streamed
+        assert status == 200
+        assert trailers["x-repro-ok"] == "true"
+        assert trailers["x-repro-accepted"] == "false"
+        assert trailers["x-repro-validation"] == "unparseable: " + refusal
+        receipt = _network_send(scenario, (Text("rain"),))
+        assert receipt.calls_materialized == 1
+        assert receipt.accepted is False
+        assert receipt.error == "unparseable: " + refusal
+
+    def test_adjacent_text_reply_is_checked_as_read(self, gateway):
+        # Two text nodes serialize as one text run: the receiver reads a
+        # single data value, which 'data.data' does not admit.
+        scenario = _text_answer_scenario("data.data", "data.data", "g")
+        plain, opened, streamed = _exchange_open_and_stream(
+            gateway, scenario, "doc-texts"
+        )
+        diagnosis = (
+            "children word #data does not match #data.#data (word ends "
+            "too early; expected #data)"
+        )
+        for reply in (plain, opened):
+            assert reply.status == 200, reply.body
+            payload = reply.json()
+            assert payload["calls"] == 1
+            assert payload["accepted"] is False
+            assert payload["validation"] == "content at /: " + diagnosis
+        status, _headers, _body, trailers = streamed
+        assert status == 200
+        assert trailers["x-repro-ok"] == "true"
+        assert trailers["x-repro-accepted"] == "false"
+        # A streamed word's position is not final when it closes.
+        assert trailers["x-repro-validation"] == "content: " + diagnosis
+        receipt = _network_send(scenario, (Text("a"), Text("b")))
+        assert receipt.accepted is False
+        assert receipt.error == "content at /: " + diagnosis
 
     def test_sender_only_signature_is_not_accepted(self, gateway):
-        sender_xsd, receiver_xsd, document_xml = (
-            _sender_only_call_scenario()
+        plain, opened, streamed = _exchange_open_and_stream(
+            gateway, _sender_only_call_scenario(), "doc-g"
         )
-
-        async def go():
-            client = GatewayClient(gateway.host, gateway.port)
-            try:
-                for name, xsd in (("carol", sender_xsd),
-                                  ("dave", receiver_xsd)):
-                    reply = await client.register_peer(name, xsd)
-                    assert reply.status == 201, reply.body
-                plain = await client.exchange("carol", "dave", document_xml)
-                opened = await client.open_session(
-                    "carol", "dave", "doc-g", document_xml
-                )
-                return plain, opened
-            finally:
-                await client.close()
-
-        for reply in run(go()):
+        undeclared = "function 'g' has no declared signature"
+        for reply in (plain, opened):
             assert reply.status == 200, reply.body
             payload = reply.json()
             # The enforcer found the call conformant (the sender
@@ -287,9 +349,42 @@ class TestReceiverVerdict:
             # ... but the receiver's vocabulary does not declare g.
             assert payload["accepted"] is False
             assert payload["validation"] == (
-                "undeclared-function at /0: function 'g' has no declared "
-                "signature"
+                "undeclared-function at /0: " + undeclared
             )
+        status, _headers, _body, trailers = streamed
+        assert status == 200
+        assert trailers["x-repro-ok"] == "true"
+        assert trailers["x-repro-conformant"] == "true"
+        assert trailers["x-repro-accepted"] == "false"
+        assert trailers["x-repro-validation"] == (
+            "undeclared-function: " + undeclared
+        )
+        receipt = _network_send(_sender_only_call_scenario(), ())
+        assert receipt.accepted is False
+        assert receipt.error == "undeclared-function at /0: " + undeclared
+
+    def test_network_send_refuses_mixed_content(self):
+        # The call is made, then the receiver cannot read the reply: a
+        # refusal on the receipt, counted and traced, not an exception.
+        from repro.obs import MetricsRegistry, Tracer, observing
+
+        scenario = _text_answer_scenario("data", "x.data", "x.g")
+        tracer, metrics = Tracer(), MetricsRegistry()
+        with observing(tracer, metrics):
+            receipt, network = _network_send(
+                scenario, (Text("rain"),), with_network=True
+            )
+        assert network.receipts == [receipt]
+        assert receipt.accepted is False
+        assert "mixed content under <r>" in receipt.error
+        assert network.peers["dave"].repository.names() == []
+        assert 'repro_transfers_total{accepted="false"} 1' in (
+            metrics.to_prometheus()
+        )
+        (exchange,) = [span for span in tracer.finished()
+                       if span.name == "exchange"]
+        assert exchange.attributes["accepted"] is False
+        assert exchange.attributes["calls"] == 1
 
 
 class TestPeerCompiledState:
@@ -382,22 +477,6 @@ class TestEnforcementSpans:
         from repro.doc.nodes import Element, Text
         from repro.incremental.edits import replace, script_to_json
 
-        async def streamed():
-            reader, writer = await asyncio.open_connection(
-                gateway.host, gateway.port
-            )
-            body = DOCUMENT_XML.encode("utf-8")
-            writer.write((
-                "POST /exchange?sender=alice&receiver=bob&seed=11 HTTP/1.1"
-                "\r\nHost: gw\r\nContent-Type: application/xml\r\n"
-                "Content-Length: %d\r\nConnection: close\r\n\r\n"
-                % len(body)
-            ).encode("latin-1") + body)
-            await writer.drain()
-            blob = await asyncio.wait_for(reader.read(), timeout=30)
-            writer.close()
-            return parse_chunked_response(blob)
-
         async def go():
             client = GatewayClient(gateway.host, gateway.port)
             counts = [_node_spans(await client.metrics_text())]
@@ -406,7 +485,9 @@ class TestEnforcementSpans:
                                               seed=11)
                 assert reply.status == 200, reply.body
                 counts.append(_node_spans(await client.metrics_text()))
-                status, _headers, _body, trailers = await streamed()
+                status, _headers, _body, trailers = await _streamed(
+                    gateway, "sender=alice&receiver=bob&seed=11", DOCUMENT_XML
+                )
                 assert status == 200 and trailers["x-repro-ok"] == "true"
                 counts.append(_node_spans(await client.metrics_text()))
                 reply = await client.open_session(

@@ -9,6 +9,7 @@ after a committed 200, and the memory block on ``/stats``.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -124,10 +125,14 @@ class TestStreamedExchange:
         assert headers.get("transfer-encoding") == "chunked"
         assert body.decode("utf-8") == dom["document"]
         assert trailers.get("x-repro-ok") == "true"
+        assert trailers.get("x-repro-accepted") == "true"
+        assert "x-repro-validation" not in trailers
         assert trailers.get("x-repro-conformant") == "false"
         assert trailers.get("x-repro-calls") == str(dom["calls"])
         assert "x-repro-cache-hits" in trailers
         assert "x-repro-cache-misses" in trailers
+        declared = headers["trailer"].split(", ")
+        assert {"X-Repro-Accepted", "X-Repro-Validation"} <= set(declared)
 
     def test_settlement_is_in_the_request_trace(self, gateway):
         # The body streams after the request span has closed; the
@@ -213,7 +218,73 @@ class TestStreamedExchange:
         status, _headers, _body, trailers = parse_chunked_response(run(go()))
         assert status == 200
         assert trailers.get("x-repro-ok") == "false"
+        assert trailers.get("x-repro-accepted") == "false"
         assert "unparseable" in trailers.get("x-repro-error", "")
+
+    def test_failed_enforcement_is_counted_like_the_json_routes(self, gateway):
+        # Both routes observe the failed enforcement's time, count no
+        # completed exchange, and count it against the sender's breaker.
+        document = DOCUMENT_XML.replace("<title>", "<bogus/><title>", 1)
+
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            try:
+                plain = await client.exchange("alice", "bob", document)
+            finally:
+                await client.close()
+            body = document.encode("utf-8")
+            streamed = parse_chunked_response(await _raw(
+                gateway.host, gateway.port,
+                _stream_head("sender=alice&receiver=bob", length=len(body)),
+                body,
+            ))
+            return plain, streamed
+
+        plain, (status, _headers, _body, trailers) = run(go())
+        assert plain.status == 422 and plain.error_code == "enforcement-failed"
+        assert status == 200
+        assert trailers["x-repro-ok"] == trailers["x-repro-accepted"] == "false"
+        assert "'bogus'" in trailers["x-repro-error"]
+        metrics = gateway.gateway.metrics
+        assert metrics.get("repro_gateway_exchanges_total") is None
+        seconds = metrics.get("repro_gateway_exchange_seconds")
+        for mode in ("safe", "stream"):
+            assert seconds.count(mode=mode) == 1
+        breaker = gateway.gateway.admission.breaker_for("alice")
+        assert breaker.consecutive_failures == 2
+
+    def test_job_fault_after_the_head_is_reported_in_trailers(
+        self, gateway, monkeypatch
+    ):
+        # A fault of the pool job itself (not a failed enforcement) once
+        # the 200 is out: the trailers say so, the ticket is released,
+        # and nothing is counted as a completed exchange.
+        from repro.axml.enforcement import SchemaEnforcer
+
+        def faulty(self, source, invoker, write, receiver=None):
+            write("<partial")
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SchemaEnforcer, "enforce_stream", faulty)
+
+        async def go():
+            body = DOCUMENT_XML.encode("utf-8")
+            return await _raw(
+                gateway.host, gateway.port,
+                _stream_head("sender=alice&receiver=bob", length=len(body)),
+                body,
+            )
+
+        status, _headers, _body, trailers = parse_chunked_response(run(go()))
+        assert status == 200
+        assert trailers == {
+            "x-repro-ok": "false", "x-repro-accepted": "false",
+            "x-repro-error": "enforcement did not complete",
+        }
+        assert gateway.gateway.admission.inflight == 0
+        assert gateway.gateway.metrics.get(
+            "repro_gateway_exchanges_total"
+        ) is None
 
     def test_possible_mode_rejected(self, gateway):
         async def go():
@@ -237,8 +308,9 @@ class TestStreamedExchange:
                 body,
             )
 
-        head = run(go()).split(b"\r\n", 1)[0]
-        assert b"404" in head or b"400" in head
+        head, _, body = run(go()).partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"404"
+        assert json.loads(body)["error"] == "unknown-peer"
 
 
 class TestStatsMemory:

@@ -19,6 +19,7 @@ from repro.axml.enforcement import SchemaEnforcer
 from repro.compile.cache import CompilationCache
 from repro.conformance.fuzzer import fuzz_document_scenario
 from repro.doc import Document, call, el
+from repro.doc.nodes import Element, FunctionCall, Text
 from repro.incremental.edits import replace
 from repro.incremental.session import ConformanceMemo
 from repro.obs.context import observing
@@ -336,3 +337,78 @@ class TestCheckWorkCounters:
                      if 'stage="check"' in k and 'counter="diagnoses"' in k]
         assert words and words[0] > 0
         assert diagnoses == [float(len(report.violations))]
+
+
+_TEXTS = ("", " ", "v", " w ", "x\ny", "&<")
+
+
+def _random_tree(rng, depth):
+    """An element over a, b, c whose children mix elements, texts and
+    calls ``f`` (a text, an element or a call per parameter)."""
+    children = []
+    for _ in range(rng.randrange(4 if depth else 1)):
+        roll = rng.random()
+        if roll < 0.35 or not depth:
+            children.append(Text(rng.choice(_TEXTS)))
+        elif roll < 0.75:
+            children.append(_random_tree(rng, depth - 1))
+        else:
+            params = [
+                Text(rng.choice(_TEXTS)) if rng.random() < 0.5
+                else _random_tree(rng, depth - 1)
+                for _ in range(rng.randrange(3))
+            ]
+            children.append(FunctionCall("f", tuple(params)))
+    return Element(rng.choice(LABELS), tuple(children))
+
+
+class TestReceiveReadsAsTheParser:
+    """``receive`` reaches, without parsing, the verdict the checker
+    reaches on what ``Document.from_xml`` reads from the tree's bytes:
+    the same report (paths of the tree read), the parser's first
+    mixed-content refusal in document order, and ``validate``'s report
+    when the tree is in wire normal form."""
+
+    SCHEMA = (
+        SchemaBuilder().element("a", "(b | c | f)*").element("b", "data")
+        .element("c", "data.data | b*").function("f", "data | b", "c")
+        .root("a").build(strict=False)
+    )
+
+    def test_random_trees(self):
+        from repro.errors import DocumentParseError
+
+        checker = InstanceChecker(self.SCHEMA)
+        rng = random.Random(23)
+        kinds = set()
+        for _ in range(1500):
+            root = _random_tree(rng, 3)
+            report, normal = checker.receive(root)
+            try:
+                read = Document.from_xml(Document(root).to_xml()).root
+            except DocumentParseError as exc:
+                expected, rebuilt = "unparseable: %s" % exc, False
+                kinds.add("unparseable")
+            else:
+                expected, rebuilt = str(checker.validate(read)), read == root
+                kinds.add("valid" if expected == "valid" else "refused")
+            assert str(report) == expected, root
+            # Wire normal form: exactly the trees whose bytes rebuild them.
+            assert normal is rebuilt, root
+            if normal:
+                kinds.add("normal")
+                assert str(checker.validate(root)) == expected
+        assert kinds == {"unparseable", "valid", "refused", "normal"}
+
+    def test_first_refusal_in_document_order(self):
+        # <b> is refused after <c>'s subtree is read, <c> before its own
+        # children: the parser meets c's mixed content first.
+        checker = InstanceChecker(self.SCHEMA)
+        inner = el("c", "t", el("b", el("c"), "u"))
+        root = el("a", el("b", inner, "late"))
+        report, normal = checker.receive(root)
+        assert not normal
+        assert str(report) == (
+            "unparseable: mixed content under <c> is not part of the "
+            "simple model"
+        )
