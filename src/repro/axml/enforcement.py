@@ -22,6 +22,7 @@ from repro.doc.document import Document
 from repro.doc.nodes import Node
 from repro.errors import RewriteError, SchemaError, ServiceError
 from repro.obs import context as obs
+from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
 from repro.rewriting.cost import UNIT, CostModel
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
@@ -109,8 +110,9 @@ class SchemaEnforcer:
             self.target_schema, self.sender_schema, self.compile_cache
         )
 
-    def _engine(self) -> RewriteEngine:
-        return RewriteEngine(
+    def _engine(self, kind=RewriteEngine) -> RewriteEngine:
+        """A ``kind`` engine with this enforcer's settings and checker."""
+        engine = kind(
             target_schema=self.target_schema,
             sender_schema=self.sender_schema,
             k=self.k,
@@ -124,6 +126,8 @@ class SchemaEnforcer:
             batch=self.batch,
             compile_cache=self.compile_cache,
         )
+        engine.checker = self.checker
+        return engine
 
     @staticmethod
     def _fault_report(invoker: Invoker) -> Optional[FaultReport]:
@@ -146,17 +150,20 @@ class SchemaEnforcer:
             return outcome
 
     def _enforce_document(
-        self, document: Document, invoker: Invoker
+        self, document: Document, invoker: Invoker,
+        engine: Optional[RewriteEngine] = None, conformance=None,
     ) -> EnforcementOutcome:
+        """Verify → rewrite → outcome; the engine checks what it writes.
+        A session hands in its memo ``engine`` and ``conformance`` memo."""
         # (i) verify
-        if self.checker.ok(document.root):
+        if (conformance or self.checker).ok(document.root):
             return EnforcementOutcome(
                 document, None, True, 0, InvocationLog(),
                 fault_report=self._fault_report(invoker),
             )
         # (ii) rewrite
         try:
-            result = self._engine().rewrite(document, invoker)
+            result = (engine or self._engine()).rewrite(document, invoker)
         except (RewriteError, SchemaError, ServiceError) as exc:
             # (ii') converters, when configured: restructure then retry.
             if self.converters:
@@ -168,16 +175,10 @@ class SchemaEnforcer:
                 None, None, False, 0, InvocationLog(), error=str(exc),
                 fault_report=self._fault_report(invoker),
             )
-        report = self.checker.validate(result.document.root)
-        if not report.ok:
-            return EnforcementOutcome(
-                None, None, False, len(result.log), result.log,
-                error="rewriting produced a non-conformant document: %s" % report,
-                fault_report=self._fault_report(invoker),
-                degraded_functions=result.degraded_functions,
-                cache_hits=result.cache_hits,
-                cache_misses=result.cache_misses,
-            )
+        return self._rewritten(result, invoker)
+
+    def _rewritten(self, result, invoker: Invoker) -> EnforcementOutcome:
+        """The outcome of a successful document rewrite."""
         return EnforcementOutcome(
             result.document, None, False, len(result.log), result.log,
             fault_report=self._fault_report(invoker),
@@ -215,13 +216,13 @@ class SchemaEnforcer:
             raise ValueError(
                 "streaming enforcement supports safe/auto modes only"
             )
-        from repro.stream.enforce import _stream_rewrite
+        from repro.stream.enforce import stream_rewrite
 
         engine = self._engine()
         with obs.tracer().span("enforce", scope="stream") as span:
             try:
-                result = _stream_rewrite(
-                    engine, source, invoker, write, self.checker, receiver
+                result = stream_rewrite(
+                    engine, source, invoker, write, receiver
                 )
             except (RewriteError, SchemaError, ServiceError) as exc:
                 outcome = EnforcementOutcome(
@@ -269,15 +270,7 @@ class SchemaEnforcer:
             result = self._engine().rewrite(converted, invoker)
         except (RewriteError, SchemaError, ServiceError, ValueError):
             return None
-        if not self.checker.ok(result.document.root):
-            return None
-        return EnforcementOutcome(
-            result.document, None, False, len(result.log), result.log,
-            fault_report=self._fault_report(invoker),
-            degraded_functions=result.degraded_functions,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-        )
+        return self._rewritten(result, invoker)
 
     def enforce_forest(
         self, forest: Sequence[Node], target: Regex, invoker: Invoker
@@ -305,7 +298,7 @@ class SchemaEnforcer:
                 fault_report=self._fault_report(invoker),
             )
         log = InvocationLog()
-        stats = {"words": 0, "product": 0, "mode": SAFE}
+        stats = {"words": 0, "product": 0, "mode": SAFE, "checked": 0}
         engine = self._engine()
         try:
             rewritten = engine.rewrite_forest(forest, target, invoker, log, stats)
@@ -316,6 +309,7 @@ class SchemaEnforcer:
                 fault_report=self._fault_report(invoker),
                 cache_hits=hits, cache_misses=misses,
             )
+        record_work(obs.metrics(), "check", {"words": stats["checked"]})
         hits, misses = engine.cache_stats
         return EnforcementOutcome(
             None, rewritten, False, len(log), log,

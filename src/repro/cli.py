@@ -7,8 +7,9 @@ Schema Enforcement module would be driven operationally:
   (XML Schema_int)?
 - ``rewrite`` — materialize a document into an exchange schema; since
   the CLI has no live services, calls are served by a *sampling*
-  responder seeded from ``--seed`` (deterministic), drawing outputs from
-  the declared signatures;
+  responder seeded from ``--seed``, drawing each call's output from the
+  declared signatures with an RNG of its own (so output is the same at
+  every worker count, streamed or not);
 - ``compat`` — the Section 6 check between two schema files;
 - ``inspect`` — document statistics (size, depth, embedded calls);
 - ``figures`` — regenerate the paper's automata figures as Graphviz DOT;
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import threading
 from typing import List, Optional
@@ -50,7 +50,6 @@ from typing import List, Optional
 from repro.axml.enforcement import SchemaEnforcer
 from repro.doc.document import Document
 from repro.errors import ReproError, TransientFault
-from repro.schema.generator import InstanceGenerator
 from repro.schema.model import Schema
 from repro.schema.validate import validate
 from repro.schemarewrite.compat import schema_safely_rewrites
@@ -67,43 +66,6 @@ def _read(path: str) -> str:
 
 def _load_schema(path: str, root: Optional[str] = None) -> Schema:
     return compile_xschema(parse_xschema(_read(path), root=root))
-
-
-def _effective_workers(args) -> int:
-    """The worker count the engine will resolve (flag, else env, else 1)."""
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def _sampling_invoker(schema: Schema, seed: int, per_call: bool = False):
-    """Serve calls by sampling output instances of declared signatures.
-
-    The default draws from one sequential RNG stream — byte-compatible
-    with earlier releases, but dependent on invocation *order*.  With
-    ``per_call`` each call's output is drawn from an RNG derived from
-    ``(seed, call fingerprint)`` instead, so results do not depend on
-    scheduling — which is what makes ``rewrite --workers N``
-    deterministic and output-identical at any worker count.
-    """
-    if per_call:
-        return sampling_invoker(schema, seed)
-    generator = InstanceGenerator(schema, random.Random(seed), max_depth=4)
-
-    def invoker(fc):
-        if schema.output_type(fc.name) is None:
-            raise ReproError(
-                "no signature for %r in the sender schema" % fc.name
-            )
-        return generator.output_forest(fc.name)
-
-    return invoker
 
 
 def cmd_validate(args) -> int:
@@ -204,7 +166,7 @@ def _cmd_rewrite_stream(args) -> int:
         compile_cache=_compile_cache_option(args),
     )
     invoker, resilient = _resilient_invoker(
-        args, _sampling_invoker(sender, args.seed, per_call=True)
+        args, sampling_invoker(sender, args.seed)
     )
     source = _file_chunks(args.document)
     if args.output:
@@ -260,7 +222,6 @@ def cmd_rewrite(args) -> int:
     document = Document.from_xml(_read(args.document))
     sender = _load_schema(args.sender_schema)
     exchange = _load_schema(args.exchange_schema)
-    workers = _effective_workers(args)
     compile_cache = _compile_cache_option(args)
     enforcer = SchemaEnforcer(
         exchange, sender, k=args.k, mode=args.mode,
@@ -272,7 +233,7 @@ def cmd_rewrite(args) -> int:
     )
     compile_before = effective_cache.stats()
     invoker, resilient = _resilient_invoker(
-        args, _sampling_invoker(sender, args.seed, per_call=workers > 1)
+        args, sampling_invoker(sender, args.seed)
     )
     observe = args.trace or args.metrics
     tracer, registry = Tracer(), MetricsRegistry()
@@ -764,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker threads for concurrent call "
                         "materialization (default: $REPRO_WORKERS or 1; "
-                        "parallel runs sample service outputs per call, "
-                        "so output is identical at any worker count)")
+                        "service outputs are sampled per call, so output "
+                        "is identical at any worker count)")
     p.add_argument("--dedup", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="deduplicate identical in-flight calls while "
@@ -782,9 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="single-pass streaming enforcement: parse, rewrite "
                         "and emit incrementally with memory bounded by "
-                        "document depth (safe/auto modes; simulated service "
-                        "outputs are sampled per call as with --workers N, "
-                        "and the output is byte-identical to such a run)")
+                        "document depth (safe/auto modes; the output is "
+                        "byte-identical to the same run without --stream)")
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("compat", help="Section 6 schema compatibility")

@@ -54,7 +54,6 @@ class CallTask:
 
     task_id: int
     call: FunctionCall  # the original (pre-rewrite) node
-    input_type: object  # Regex the parameters are rewritten into
     depends_on: Tuple[int, ...]  # param-before-call edges (task ids)
     fingerprint: str  # of the original node, for static dedup
 
@@ -75,12 +74,11 @@ class CallDAG:
     planned_calls: int = 0
 
     def add_task(
-        self, call: FunctionCall, input_type, depends_on: Tuple[int, ...]
+        self, call: FunctionCall, depends_on: Tuple[int, ...]
     ) -> CallTask:
         task = CallTask(
             task_id=len(self.tasks),
             call=call,
-            input_type=input_type,
             depends_on=tuple(depends_on),
             fingerprint=call_fingerprint(call),
         )
@@ -151,8 +149,7 @@ def _plan_forest(dag: CallDAG, engine, forest, target) -> None:
                 fun, at, input_type, first_task = call
                 action = stack[-1][1].get(at)
                 if action == INVOKE and input_type is not None:
-                    dag.add_task(fun, input_type,
-                                 range(first_task, len(dag.tasks)))
+                    dag.add_task(fun, range(first_task, len(dag.tasks)))
                 elif action == DEPENDS:
                     dag.sequenced.append((fun.name, at))
             continue

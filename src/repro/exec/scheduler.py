@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.doc.nodes import FunctionCall, Node, with_children
+from repro.doc.nodes import FunctionCall, Node
 from repro.exec.dag import CallDAG, CallTask, build_call_dag
 from repro.exec.fingerprint import call_fingerprint, fingerprint_digest
 from repro.obs import context as obs
@@ -392,12 +392,10 @@ class MaterializationScheduler:
                 ).inc(outcome=outcome, function=task.function)
 
     def _materialize(self, task: CallTask, store) -> None:
-        """Rewrite one call's parameters (replaying nested prefetches)
-        and perform its round-trip into the store."""
-        params = self.engine.rewrite_forest(
-            task.call.params, task.input_type, store
-        )
-        store(with_children(task.call, tuple(params)))
+        """Rewrite one call's parameters (replaying nested prefetches;
+        unchecked, as the sequential pass rewrites them) and perform its
+        round-trip into the store."""
+        store(self.engine.rewrite_node(task.call, store))
 
 
 def _static_dedup(

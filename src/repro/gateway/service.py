@@ -48,6 +48,7 @@ Architecture notes:
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import logging
 from concurrent import futures
 from dataclasses import dataclass
@@ -182,6 +183,11 @@ class Gateway:
         self._draining = False
         self._started_at = 0.0
         self._previous_obs: Optional[Tuple] = None
+        #: The ``gateway.request`` span id of the request a task serves:
+        #: its spans, on the loop or in the pool, name it as their parent.
+        self._request_span = contextvars.ContextVar(
+            "request_span", default=None
+        )
         self._routes = {
             ("GET", "/healthz"): self._route_health,
             ("GET", "/metrics"): self._route_metrics,
@@ -313,8 +319,10 @@ class Gateway:
         route = "%s %s" % (request.method, request.path)
         started = self.clock.now()
         with self.tracer.span(
-            "gateway.request", method=request.method, path=request.path
+            "gateway.request", parent_id=None, method=request.method,
+            path=request.path,
         ) as span:
+            self._request_span.set(getattr(span, "span_id", None))
             try:
                 handler = self._resolve(request)
                 response = await handler(request)
@@ -513,7 +521,7 @@ class Gateway:
     async def _exchange(self, sender: PeerRecord, receiver: PeerRecord,
                         job: Callable[[float], "_Done"], label: str,
                         span: str, settle=None, bridge: "_Bridge" = None,
-                        **attributes) -> Response:
+                        inbound: int = 0, **attributes) -> Response:
         """Admit, run one pool job, release, count, reply: the pipeline
         behind every exchange route.
 
@@ -521,25 +529,34 @@ class Gateway:
         enforced document (:func:`~repro.axml.delivery.deliver`), unless
         it streamed the reply through ``bridge`` with the receiver's
         verdict.  ``settle(done)`` runs on the loop, inside the route's
-        span (``attributes``), once the job is back.  A failed
-        enforcement, and any refusal raised after admission, count
-        against the sender's breaker.  The receipt is the JSON body, or
-        the streamed reply's trailers.
+        span (``attributes``), once the job is back.  The route span and
+        the job's ``gateway.job`` span hang under the request's span by
+        id.  An admitted request counts its ``inbound`` document bytes.
+        A failed enforcement, and any refusal raised after admission,
+        count against the sender's breaker.  The receipt is the JSON
+        body, or the streamed reply's trailers.
         """
         checker = receiver.checker(self.compile_cache)
+        parent = self._request_span.get()
 
         def pooled(started: float) -> _Done:
-            done = job(started)
-            if done.outcome.ok and done.report is None:
-                delivery = deliver(done.outcome.document, checker)
-                done.wire, done.report = delivery.wire, delivery.report
-                done.out = delivery.size
+            with self.tracer.span("gateway.job", parent_id=parent):
+                done = job(started)
+                if done.outcome.ok and done.report is None:
+                    delivery = deliver(done.outcome.document, checker)
+                    done.wire, done.report = delivery.wire, delivery.report
+                    done.out = delivery.size
             return done
 
         started = self.clock.now()
         ticket = self.admission.admit(
             sender.name, per_peer_limit=sender.max_inflight
         )
+        if inbound:
+            self.metrics.counter(
+                "repro_gateway_bytes_total",
+                "Document bytes through the gateway",
+            ).inc(inbound, direction="in")
         try:
             running = self._loop.run_in_executor(self._pool, pooled, started)
         except BaseException:
@@ -549,8 +566,8 @@ class Gateway:
         async def settled() -> _Done:
             try:
                 with self.tracer.span(
-                    span, sender=sender.name, receiver=receiver.name,
-                    **attributes,
+                    span, parent_id=parent, sender=sender.name,
+                    receiver=receiver.name, **attributes,
                 ) as active:
                     done = await running
                     if settle is not None:
@@ -687,7 +704,8 @@ class Gateway:
             }, elapsed=now - enforce_started)
 
         return await self._exchange(
-            sender, receiver, job, mode, "gateway.exchange", mode=mode
+            sender, receiver, job, mode, "gateway.exchange",
+            inbound=len(document_xml.encode("utf-8")), mode=mode,
         )
 
     # -- routes: the edit-script exchange ------------------------------------
@@ -788,6 +806,8 @@ class Gateway:
         return await self._exchange(
             sender, receiver, apply_job if document_xml is None else open_job,
             "incremental", "gateway.exchange.incremental", settle,
+            inbound=len(document_xml.encode("utf-8"))
+            if isinstance(document_xml, str) else 0,
             document_id=document_id,
         )
 
@@ -817,9 +837,6 @@ class Gateway:
         if not request.body.strip():
             raise BadRequestError("missing document body")
         sender, receiver = self._peers(sender_name, receiver_name)
-        self.metrics.counter(
-            "repro_gateway_bytes_total", "Document bytes through the gateway"
-        ).inc(len(request.body), direction="in")
         checker = receiver.checker(self.compile_cache)
         bridge = _Bridge(self._loop)
 
@@ -851,11 +868,10 @@ class Gateway:
             )
 
         # The request span closes when the response head goes out, before
-        # the body streams: the settlement names it as its parent.
+        # the body streams: the settlement names it as its parent by id.
         return await self._exchange(
             sender, receiver, job, "stream", "gateway.exchange.stream",
-            settle, bridge,
-            parent_id=getattr(self.tracer.current(), "span_id", None),
+            settle, bridge, inbound=len(request.body),
         )
 
 

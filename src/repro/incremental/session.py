@@ -1,8 +1,8 @@
 """Per-document enforcement sessions: re-enforce only what an edit touched.
 
 A :class:`EnforcementSession` keeps one *source* document alive across a
-sequence of edit scripts and re-runs the verify → rewrite → validate
-pipeline after each batch, producing outcomes **byte-identical** to a
+sequence of edit scripts and re-runs the enforcer's verify → rewrite
+step after each batch, producing outcomes **byte-identical** to a
 full :meth:`~repro.axml.enforcement.SchemaEnforcer.enforce_document`
 over the edited document — while doing work proportional to the edit's
 locality, not the document's size.  Four reuse layers stack up:
@@ -47,17 +47,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.axml.enforcement import EnforcementOutcome
 from repro.doc.document import Document
 from repro.doc.nodes import FunctionCall, Node, Text, children_of, tree_size
 from repro.doc.normalize import normalize_document
 from repro.doc.paths import iter_nodes
-from repro.errors import RewriteError, SchemaError, ServiceError
 from repro.exec.fingerprint import call_fingerprint
 from repro.incremental.edits import DocEdit, apply_edits
 from repro.obs import context as obs
 from repro.obs.metrics import record_work
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
-from repro.rewriting.plan import InvocationLog, InvocationRecord
+from repro.rewriting.plan import InvocationRecord
 from repro.schema.validate import InstanceChecker
 
 
@@ -115,20 +115,25 @@ class _SubtreeEntry:
     dead_context: frozenset
     dead_added: frozenset
     degradations: int
+    #: Whether the engine checked the subtree as written into the output
+    #: (an entry made under a call replays only under a call).
+    checked: bool
     #: Input subtree size, counted the first time the entry is reused
     #: (the root, re-analyzed on every pass, is never walked for it).
     size: Optional[int] = None
 
 
 class ConformanceMemo:
-    """Per-node instance checking, memoized by identity.
+    """Per-node instance checking, memoized by identity: the session's
+    verify step.
 
     ``ok(root)`` equals ``checker.ok(root)`` (strict Definition 3): a
     node's verdict is ``local_ok(node) and all(ok(child) ...)``, so
     memoizing by identity makes re-verification after an edit O(spine).
     The walk is iterative (any depth) and short-circuits in that order:
     a fully checked subtree is memoized True, each open ancestor of the
-    first failure False.
+    first failure False.  Each walk records the children words it
+    checked as one ``check`` work record, as ``checker.ok`` does.
     """
 
     def __init__(self, checker: InstanceChecker):
@@ -136,13 +141,13 @@ class ConformanceMemo:
         self._memo = _IdentityMemo()
         self.checked = 0
         self.reused = 0
-        #: Children words checked (element and call nodes not reused).
-        self.words = 0
 
     def ok(self, root: Node) -> bool:
         memo = self._memo
         undecided: List[Node] = []  # entered nodes whose subtree is open
         stack: List[Optional[Node]] = [root]
+        words = 0
+        verdict = True
         while stack:
             node = stack.pop()
             if node is None:  # the innermost undecided node's subtree passed
@@ -154,7 +159,7 @@ class ConformanceMemo:
             else:
                 self.checked += 1
                 if not isinstance(node, Text):
-                    self.words += 1
+                    words += 1
                 verdict = self.checker.local_ok(node)
                 kids = children_of(node)
                 if verdict and kids:
@@ -166,8 +171,9 @@ class ConformanceMemo:
             if not verdict:
                 for ancestor in undecided:
                     memo.put(ancestor, False)
-                return False
-        return True
+                break
+        record_work(obs.metrics(), "check", {"words": words})
+        return verdict
 
 
 class CachingInvoker:
@@ -223,17 +229,21 @@ class MemoRewriteEngine(RewriteEngine):
     recomputed one.
 
     Entries are tagged with the degradation context (``dead`` set) they
-    were computed under and only replay in an equal context; the engine
-    runs strictly sequentially (``resolved_workers`` pinned to 1 — the
-    scheduler's planning pre-pass would analyze the whole document and
-    defeat locality; output is bit-identical at any worker count, so
-    this is invisible in results).
+    were computed under and only replay in an equal context, and an
+    entry the engine did not check (a subtree under a call) does not
+    replay where the output is checked — a replay is never checked
+    again, nor is a kept call that passed its check once (a replayed
+    call is the same object).  The engine runs strictly sequentially
+    (``resolved_workers`` pinned to 1 — the scheduler's planning pre-pass
+    would analyze the whole document and defeat locality; output is
+    bit-identical at any worker count, so this is invisible in results).
     """
 
     def __init__(self, **kwargs):
-        kwargs.setdefault("workers", 1)
         super().__init__(**kwargs)
         self._memo = _IdentityMemo()
+        #: Kept calls that passed :meth:`check_kept`, by identity.
+        self._kept = _IdentityMemo()
         self.nodes_reanalyzed = 0
         self.nodes_reused = 0
         self.subtree_nodes_reused = 0
@@ -247,12 +257,22 @@ class MemoRewriteEngine(RewriteEngine):
         self.nodes_reused = 0
         self.subtree_nodes_reused = 0
 
+    def check_kept(self, call: FunctionCall) -> None:
+        """A kept call the memo replays unchanged (the same object) was
+        checked whole when it was first kept: it is not walked again."""
+        if self._kept.get(call) is None:
+            super().check_kept(call)
+            self._kept.put(call, True)
+
     # -- the driver's node hooks -----------------------------------------
 
-    def _enter_node(self, node, log, stats):
+    def _enter_node(self, node, check, log, stats):
         dead_context = frozenset(stats.get("dead", ()))
         entry = self._memo.get(node)
-        if entry is not None and entry.dead_context == dead_context:
+        if (
+            entry is not None and entry.dead_context == dead_context
+            and (entry.checked or not check)
+        ):
             log.records.extend(entry.records)
             log.cost += entry.cost
             stats["words"] += entry.words
@@ -274,13 +294,15 @@ class MemoRewriteEngine(RewriteEngine):
         # Cost and mode restart for the entry to hold its own; the dead
         # set stays shared (degradation is pass-global).
         mark = (len(log.records), log.cost, stats["words"], stats["product"],
-                stats["mode"], stats.get("degradations", 0), dead_context)
+                stats["mode"], stats.get("degradations", 0), dead_context,
+                check)
         log.cost = 0.0
         stats["mode"] = SAFE
         return None, mark
 
     def _leave_node(self, node, result, mark, log, stats):
-        records, cost, words, product, mode, degradations, dead_context = mark
+        (records, cost, words, product, mode, degradations, dead_context,
+         check) = mark
         entry = _SubtreeEntry(
             result=result,
             records=tuple(log.records[records:]),
@@ -291,6 +313,7 @@ class MemoRewriteEngine(RewriteEngine):
             dead_context=dead_context,
             dead_added=frozenset(stats.get("dead", ())) - dead_context,
             degradations=stats.get("degradations", 0) - degradations,
+            checked=check,
         )
         self._memo.put(node, entry)
         log.cost = cost + entry.cost
@@ -304,28 +327,22 @@ class MemoRewriteEngine(RewriteEngine):
 
 
 @dataclass
-class IncrementalOutcome:
-    """One session pass — the full-enforcement receipt plus reuse counters.
+class IncrementalOutcome(EnforcementOutcome):
+    """One session pass: the enforcer's outcome plus reuse counters.
 
-    ``document``/``error``/``already_conformant``/``calls_made``/
-    ``degraded_functions``/``log`` carry exactly what a fresh
-    :meth:`SchemaEnforcer.enforce_document` over the same source would
-    report (:meth:`receipt` is the comparison view the differential
-    oracle uses); the remaining fields account for what the incremental
-    machinery *skipped*.
+    The :class:`~repro.axml.enforcement.EnforcementOutcome` fields carry
+    exactly what a fresh
+    :meth:`~repro.axml.enforcement.SchemaEnforcer.enforce_document` over
+    the same source would report (:meth:`receipt` is the comparison view
+    the differential oracle uses); the fields below account for what the
+    incremental machinery *skipped*.
     """
 
-    document: Optional[Document]
-    already_conformant: bool
-    calls_made: int
-    log: InvocationLog
-    error: Optional[str] = None
-    degraded_functions: Tuple[str, ...] = ()
     #: Subtree-memo accounting for this pass.
     nodes_reanalyzed: int = 0
     nodes_reused: int = 0
     subtree_nodes_reused: int = 0
-    #: Conformance-memo accounting for this pass.
+    #: Conformance-memo accounting for this pass's verify step.
     verify_checked: int = 0
     verify_reused: int = 0
     #: Materialization-cache accounting for this pass.
@@ -333,10 +350,6 @@ class IncrementalOutcome:
     invocations_reused: int = 0
     #: How many edits this pass applied (0 for the initial enforcement).
     edits_applied: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
     def receipt(self) -> dict:
         """This pass's :func:`full_receipt`."""
@@ -386,17 +399,7 @@ class EnforcementSession:
         self.enforcer = enforcer
         self.session_id = next(_session_ids)
         self._invoker = CachingInvoker(invoker)
-        self._engine = MemoRewriteEngine(
-            target_schema=enforcer.target_schema,
-            sender_schema=enforcer.sender_schema,
-            k=enforcer.k,
-            mode=enforcer.mode,
-            policy=enforcer.policy,
-            cost_model=enforcer.cost_model,
-            eager=enforcer.eager,
-            lazy=enforcer.lazy,
-            compile_cache=enforcer.compile_cache,
-        )
+        self._engine = enforcer._engine(MemoRewriteEngine)
         self._verify = ConformanceMemo(enforcer.checker)
         self.document = normalize_document(document)
         self.enforced: Optional[Document] = None
@@ -456,68 +459,26 @@ class EnforcementSession:
         return outcome
 
     def _enforce_once(self) -> IncrementalOutcome:
+        """The enforcer's own verify → rewrite → outcome step, run with the
+        session's memo engine, conformance memo and caching invoker."""
         engine = self._engine
         verify = self._verify
         invoker = self._invoker
         engine.reset_pass_counters()
         checked0, reused0 = verify.checked, verify.reused
-        words0 = verify.words
         performed0, inv_reused0 = invoker.performed, invoker.reused
-
-        def counters(outcome: IncrementalOutcome) -> IncrementalOutcome:
-            record_work(
-                obs.metrics(), "check", {"words": verify.words - words0}
-            )
-            outcome.nodes_reanalyzed = engine.nodes_reanalyzed
-            outcome.nodes_reused = engine.nodes_reused
-            outcome.subtree_nodes_reused = engine.subtree_nodes_reused
-            outcome.verify_checked = verify.checked - checked0
-            outcome.verify_reused = verify.reused - reused0
-            outcome.invocations_performed = invoker.performed - performed0
-            outcome.invocations_reused = invoker.reused - inv_reused0
-            return outcome
-
-        # (i) verify — memoized per subtree
-        if verify.ok(self.document.root):
-            return counters(IncrementalOutcome(
-                self.document, True, 0, InvocationLog(),
-            ))
-        # (ii) rewrite — through the subtree memo
-        try:
-            result = engine.rewrite(self.document, invoker)
-        except (RewriteError, SchemaError, ServiceError) as exc:
-            converted = self._try_converters(invoker)
-            if converted is not None:
-                return counters(converted)
-            return counters(IncrementalOutcome(
-                None, False, 0, InvocationLog(), error=str(exc),
-            ))
-        # (iii) validate the produced document — memoized; on the rare
-        # failure path run the full validator for the byte-identical
-        # violation report.
-        if not verify.ok(result.document.root):
-            report = verify.checker.validate(result.document.root)
-            return counters(IncrementalOutcome(
-                None, False, len(result.log), result.log,
-                error="rewriting produced a non-conformant document: %s"
-                % report,
-                degraded_functions=result.degraded_functions,
-            ))
-        return counters(IncrementalOutcome(
-            result.document, False, len(result.log), result.log,
-            degraded_functions=result.degraded_functions,
-        ))
-
-    def _try_converters(self, invoker) -> Optional[IncrementalOutcome]:
-        """Parity with SchemaEnforcer's converter fallback (rare path)."""
-        if not self.enforcer.converters:
-            return None
-        outcome = self.enforcer._try_converters(self.document, invoker)
-        if outcome is None or not outcome.ok:
-            return None
+        outcome = self.enforcer._enforce_document(
+            self.document, invoker, engine, verify
+        )
         return IncrementalOutcome(
-            outcome.document, False, outcome.calls_made, outcome.log,
-            degraded_functions=outcome.degraded_functions,
+            **vars(outcome),
+            nodes_reanalyzed=engine.nodes_reanalyzed,
+            nodes_reused=engine.nodes_reused,
+            subtree_nodes_reused=engine.subtree_nodes_reused,
+            verify_checked=verify.checked - checked0,
+            verify_reused=verify.reused - reused0,
+            invocations_performed=invoker.performed - performed0,
+            invocations_reused=invoker.reused - inv_reused0,
         )
 
     # -- undo and introspection -----------------------------------------
@@ -576,6 +537,7 @@ class EnforcementSession:
         live = self.live_ids()
         self.live_nodes = len(live)
         self._engine._memo.retain(live)
+        self._engine._kept.retain(live)
         self._verify._memo.retain(live)
 
     def cache_snapshot(self) -> Dict[Tuple[int, ...], str]:

@@ -11,6 +11,12 @@ of every function around) and a data exchange schema ``s``, the driver:
    (safe by default, with optional fallback to possible rewriting — the
    two-step process described at the start of Section 3).
 
+The enforcer's final check is made where the output is written: each
+children word written is checked against its type, and each call kept is
+checked whole (the game guarantees its word, not the parameters of a
+call an answer brings in); nothing under a call is, as it may still be
+invoked.  The first failure raises one :class:`RewriteError`.
+
 The engine is transport-agnostic: it takes an *invoker* callable
 (``FunctionCall -> forest``); :mod:`repro.axml.enforcement` wires it to
 the simulated service fabric.
@@ -21,12 +27,14 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compile import context as compile_context
 from repro.doc.document import Document
 from repro.doc.nodes import (
-    Element, FunctionCall, Node, Text, iter_subtree, symbol_of, with_children,
+    Element, FunctionCall, Node, Text, children_of, iter_subtree, symbol_of,
+    with_children,
 )
 from repro.errors import (
     FunctionUnavailableError,
@@ -36,6 +44,7 @@ from repro.errors import (
     SchemaError,
 )
 from repro.obs import context as obs
+from repro.obs.metrics import record_work
 from repro.regex.ast import Regex
 from repro.rewriting.cost import UNIT, CostModel
 from repro.rewriting.lazy import analyze_safe_lazy
@@ -45,6 +54,7 @@ from repro.rewriting.possible import analyze_possible, execute_possible
 from repro.rewriting.safe import Invoker, analyze_safe, execute_safe
 from repro.schema.model import Schema
 from repro.schema.patterns import InvocationPolicy, allow_all
+from repro.schema.validate import InstanceChecker
 
 #: Rewriting guarantee levels the engine supports.
 SAFE = "safe"
@@ -52,6 +62,9 @@ POSSIBLE = "possible"
 AUTO = "auto"  # try safe first, fall back to possible (Section 3's process)
 
 _NO_DEAD = frozenset()
+
+#: The text of every check failure, before the checker's violation.
+NON_CONFORMANT = "rewriting produced a non-conformant document: "
 
 
 @dataclass
@@ -88,17 +101,19 @@ class _Frame:
     """One children word on the driver's stack: the ``owner`` whose
     children (or parameters) ``forest`` is (None for a bare forest),
     the hook's ``mark``, the word's ``target`` (None once rewritten), the
-    current stage's input ``nodes`` and next ``index``, and its ``out``,
-    None while every node so far is unchanged."""
+    current stage's input ``nodes`` and next ``index``, its ``out``,
+    None while every node so far is unchanged, and whether the word is
+    written into the output (``check``: not under a call)."""
 
     __slots__ = ("owner", "mark", "forest", "target", "nodes", "index",
-                 "out")
+                 "out", "check")
 
-    def __init__(self, owner, mark, forest, target):
+    def __init__(self, owner, mark, forest, target, check):
         self.owner, self.mark, self.target = owner, mark, target
         self.forest = self.nodes = forest
         self.index = 0
         self.out = None
+        self.check = check
 
 
 @dataclass
@@ -167,6 +182,14 @@ class RewriteEngine:
         default_factory=threading.Lock, repr=False
     )
 
+    @cached_property
+    def checker(self) -> InstanceChecker:
+        """The Definition 3 checker of what the engine writes: an
+        enforcer hands in its own, else one is built on first use."""
+        return InstanceChecker(
+            self.target_schema, self.sender_schema, self.compile_cache
+        )
+
     @property
     def cache_stats(self) -> Tuple[int, int]:
         """(hits, misses) of the per-engine analysis memo."""
@@ -211,7 +234,7 @@ class RewriteEngine:
         driver keeps its own stack, so any nesting depth rewrites.
         """
         log = InvocationLog()
-        stats = {"words": 0, "product": 0, "mode": SAFE}
+        stats = {"words": 0, "product": 0, "mode": SAFE, "checked": 0}
         hits_before, misses_before = self.cache_stats
         with obs.tracer().span("document", mode=self.mode, k=self.k) as span:
             root = document.root
@@ -220,6 +243,8 @@ class RewriteEngine:
                 result = RewriteResult(document, log, SAFE)
             else:
                 new_root = self.rewrite_node(root, invoker, log, stats)
+                if type(new_root) is FunctionCall:
+                    self.check_kept(new_root)
                 hits, misses = self.cache_stats
                 result = RewriteResult(
                     Document(new_root),
@@ -241,6 +266,7 @@ class RewriteEngine:
                 cache_misses=result.cache_misses,
             )
         metrics = obs.metrics()
+        record_work(metrics, "check", {"words": stats["checked"]})
         if metrics.enabled:
             metrics.counter(
                 "repro_documents_rewritten_total", "Documents rewritten"
@@ -294,21 +320,38 @@ class RewriteEngine:
 
         This is the engine's workhorse, also used directly by the Schema
         Enforcement module for service parameters and results, and by
-        the streaming driver at each element close.
+        the streaming driver at each element close.  The forest is
+        written into the output and checked; the caller records the
+        words checked (``stats["checked"]``) for its pass.
         """
         log = log if log is not None else InvocationLog()
         stats = stats if stats is not None else {"words": 0, "product": 0, "mode": SAFE}
-        return self._drive(_Frame(None, None, tuple(forest), target),
+        return self._drive(_Frame(None, None, tuple(forest), target, True),
                            invoker, log, stats)
 
-    def rewrite_node(self, node: Node, invoker, log: InvocationLog,
-                     stats: dict) -> Node:
+    def rewrite_node(self, node: Node, invoker,
+                     log: Optional[InvocationLog] = None,
+                     stats: Optional[dict] = None) -> Node:
         """Rewrite one subtree whose root stays: an element's children
-        word (and everything below it), or a call's parameters."""
-        step = self._open(node, invoker, log, stats)
+        word and everything below it, checked, or a call's parameters,
+        unchecked (a caller that keeps the call calls :meth:`check_kept`)."""
+        log = log if log is not None else InvocationLog()
+        if stats is None:
+            stats = {"words": 0, "product": 0, "mode": SAFE}
+        step = self._open(node, invoker, log, stats, True)
         if type(step) is not _Frame:
             return step
         return self._drive(step, invoker, log, stats)
+
+    def check_kept(self, call: FunctionCall) -> None:
+        """Check a call the output keeps, whole and strict, whoever wrote
+        its parameters; the first failing node raises
+        :class:`RewriteError`.  The walk records its own ``check`` work."""
+        node = self.checker.first_failure(call)
+        if node is not None:
+            raise RewriteError(NON_CONFORMANT + str(self.checker.violation(
+                None, node, tuple(map(symbol_of, children_of(node)))
+            )))
 
     def analyze_word(self, word: Tuple[str, ...], target: Regex):
         """Solve (and cache) one children word's safe analysis.
@@ -385,22 +428,27 @@ class RewriteEngine:
     # -- the driver -----------------------------------------------------------
 
     #: Node hooks (the session's subtree memo), None here.
-    #: ``_enter_node(node, log, stats)`` returns ``(result, mark)``: a
-    #: result replays the node's subtree, else the mark goes to
+    #: ``_enter_node(node, check, log, stats)`` returns ``(result, mark)``:
+    #: a result replays the node's subtree, else the mark goes to
     #: ``_leave_node(node, result, mark, log, stats)`` once it is rewritten.
+    #: ``check``: the subtree is written into the output (and a replay
+    #: there must have been checked).
     _enter_node = None
     _leave_node = None
 
-    def _open(self, node: Node, invoker, log, stats):
+    def _open(self, node: Node, invoker, log, stats, check: bool):
         """The step into a call (stage 1) or a kept element (stage 2): the
         node rewritten — replayed, or on the spot when only data lies
-        below it — or a frame for its children word."""
+        below it — or a frame for its children word, checked with
+        ``check`` unless it is a call's parameters."""
+        call = type(node) is FunctionCall
+        check = check and not call
         mark = None
         if self._enter_node is not None:
-            result, mark = self._enter_node(node, log, stats)
+            result, mark = self._enter_node(node, check, log, stats)
             if result is not None:
                 return result
-        if type(node) is FunctionCall:
+        if call:
             forest, target = node.params, self._input_type(node.name)
             if target is None:
                 raise SchemaError("function %r has no declared signature "
@@ -413,8 +461,9 @@ class RewriteEngine:
                                   "the target schema" % node.label)
         for child in forest:
             if type(child) is not Text:
-                return _Frame(node, mark, forest, target)
-        rewritten = self._rewrite_word(forest, target, invoker, log, stats)
+                return _Frame(node, mark, forest, target, check)
+        rewritten = self._rewrite_word(forest, target, invoker, log, stats,
+                                       check)
         return self._close(node, mark, forest, rewritten, log, stats)
 
     def _close(self, owner: Node, mark, forest, rewritten, log, stats) -> Node:
@@ -428,21 +477,26 @@ class RewriteEngine:
         Section 4's order: a word's calls' parameters (stage 1), then the
         eager pre-pass and the word itself (stage 3), then its kept and
         produced elements (stage 2), skipping those the streaming driver
-        sealed.  Returns the frame's owner rewritten, or its forest."""
+        sealed and checking the calls a checked word keeps.  Returns the
+        frame's owner rewritten, or its forest."""
         stack = [frame]
         while True:
             frame = stack[-1]
             nodes, out, index = frame.nodes, frame.out, frame.index
             count = len(nodes)
             preparing = frame.target is not None
+            check = frame.check
             while index < count:
                 node = nodes[index]
                 index += 1
+                kind = type(node)
+                if kind is FunctionCall and check and not preparing:
+                    self.check_kept(node)
                 if (
-                    type(node) is FunctionCall if preparing
+                    kind is FunctionCall if preparing
                     else isinstance(node, Element) and not node.enforced
                 ):
-                    step = self._open(node, invoker, log, stats)
+                    step = self._open(node, invoker, log, stats, check)
                     if type(step) is _Frame:
                         break
                     if step is not node and out is None:
@@ -464,7 +518,7 @@ class RewriteEngine:
                         self.cost_model.cost_of,
                     )
                 frame.nodes = self._rewrite_word(
-                    result, frame.target, invoker, log, stats
+                    result, frame.target, invoker, log, stats, check
                 )
                 frame.target = frame.out = None
                 frame.index = 0
@@ -484,7 +538,8 @@ class RewriteEngine:
                 parent.out.append(node)
 
     def _rewrite_word(
-        self, children: Tuple[Node, ...], target: Regex, invoker, log, stats
+        self, children: Tuple[Node, ...], target: Regex, invoker, log, stats,
+        check: bool,
     ) -> Tuple[Node, ...]:
         """Stage 3: rewrite one children word (safe, auto or possible).
 
@@ -492,7 +547,9 @@ class RewriteEngine:
         probe.  When the analysis attached no signature copy, nothing can
         be invoked: the product path is the word's own path, ``exists``
         says it ends unmarked, and the walk is skipped.  A traced pass
-        wraps the step in a ``node`` span.
+        wraps the step in a ``node`` span.  With ``check`` the rewritten
+        word is checked against ``target`` (patterns unexpanded) and
+        counted in ``stats["checked"]``.
 
         In AUTO mode the word *degrades gracefully* under infrastructure
         failure: when the resilient invocation layer gives up on a
@@ -503,6 +560,7 @@ class RewriteEngine:
         through other providers — instead of failing the whole document.
         """
         word = tuple(map(symbol_of, children))
+        declared = target
         if self.target_schema.patterns:
             target = self._desugared(target, word)
         stats["words"] += 1
@@ -565,6 +623,14 @@ class RewriteEngine:
                         "repro_degradations_total",
                         "Words re-analyzed around a dead function",
                     ).inc(function=name)
+            if check:
+                stats["checked"] = stats.get("checked", 0) + 1
+                if result is not children:
+                    word = tuple(map(symbol_of, result))
+                if not self.checker.word_ok(word, declared):
+                    raise RewriteError(NON_CONFORMANT + str(
+                        self.checker.mismatch(None, "", word, declared)
+                    ))
         except BaseException as exc:
             if span is not None:
                 span.set(error=str(exc) or type(exc).__name__)

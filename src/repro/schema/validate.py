@@ -165,17 +165,22 @@ class InstanceChecker:
     def ok(self, root: Node, strict: bool = True) -> bool:
         """Is the subtree an instance?  Iterative (any depth), stopping at
         the first failing node; one ``check`` work record per walk."""
-        verdict = True
+        return self.first_failure(root, strict) is None
+
+    def first_failure(self, root: Node, strict: bool = True
+                      ) -> Optional[Node]:
+        """:meth:`ok`'s walk: the first failing node (None: an instance)."""
+        failure = None
         words = 0
         for node in iter_subtree(root):
             if isinstance(node, Text):
                 continue
             words += 1
             if not self.local_ok(node, strict):
-                verdict = False
+                failure = node
                 break
         record_work(obs.metrics(), "check", {"words": words})
-        return verdict
+        return failure
 
     def forest_ok(self, forest: Sequence[Node], expr: Regex) -> bool:
         """Is the forest's root word in ``lang(expr)`` and every tree an
@@ -285,6 +290,13 @@ class InstanceChecker:
                 path, symbol, "undeclared-function",
                 "function %r has no declared signature" % symbol,
             )
+        return self.mismatch(path, symbol, word, expr, element)
+
+    def mismatch(self, path: Optional[Path], symbol: str,
+                 word: Sequence[str], expr: Regex,
+                 element: bool = True) -> Violation:
+        """Why ``word``, the children word (parameters, unless
+        ``element``) of ``symbol``, is not in ``lang(expr)``."""
         template = (
             "children word %s does not match %s (%s)" if element
             else "parameters %s do not match input type %s (%s)"

@@ -103,8 +103,8 @@ def sampling_invoker(
     (scheduler threads included); a call only derives its RNG and draws.
     Pass a compiled sampler instead of the schema to share one across
     invokers, as the gateway does per registered peer.  This is the one
-    per-call sampler behind the gateway, the CLI's ``rewrite --workers
-    N`` and ``--stream``, and the conformance fuzzer.
+    sampler behind the gateway, the CLI's ``rewrite`` (at every worker
+    count, streamed or not) and the conformance fuzzer.
     """
     if isinstance(schema, SchemaSampler):
         sampler, schema = schema, schema.schema

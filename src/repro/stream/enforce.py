@@ -5,8 +5,9 @@ The driver subclasses :class:`repro.stream.builder.TreeBuilder`.  At
 each element close (outside ``int:fun`` subtrees) it runs the engine's
 :meth:`~repro.rewriting.engine.RewriteEngine.rewrite_forest` over the
 element's children — exactly the computation the DOM driver performs
-for the same node, with the same analysis-cache keys and the same
-error messages — then *seals* the element: the subtree is final and its
+for the same node, with the same analysis-cache keys, the same check of
+each word the engine writes (answers and kept calls included) and the
+same error messages — then *seals* the element: the subtree is final and its
 serialized chunk travels upward instead of the tree.  The engine's
 descend stage skips sealed children (``node.enforced``), so each word
 is rewritten exactly once, as in the DOM pass.
@@ -52,7 +53,7 @@ from xml.sax.saxutils import escape
 
 from repro.doc.nodes import Element, FunctionCall, Node, Text, symbol_of
 from repro.doc.xml_io import _declare_int_ns
-from repro.errors import DocumentParseError, RewriteError, SchemaError
+from repro.errors import DocumentParseError, SchemaError
 from repro.obs import context as obs
 from repro.obs.metrics import record_work
 from repro.rewriting.engine import POSSIBLE, SAFE, RewriteEngine
@@ -115,18 +116,19 @@ class _StreamDriver(TreeBuilder):
         engine: RewriteEngine,
         invoker,
         write: Callable[[str], None],
-        checker: InstanceChecker,
         receiver: Optional[InstanceChecker] = None,
     ):
         super().__init__()
         self.engine = engine
         self.invoker = invoker
-        self.checker = checker
+        self.checker = engine.checker
         self.receiver = receiver
         self.refusal: Optional[Violation] = None
+        #: Words the verify step and the receiver checked (the engine
+        #: counts its own in ``stats["checked"]``).
         self.words_checked = 0
         self.log = InvocationLog()
-        self.stats = {"words": 0, "product": 0, "mode": SAFE}
+        self.stats = {"words": 0, "product": 0, "mode": SAFE, "checked": 0}
         self.writer = LineWriter(write)
         self.states: List[_EmitState] = []
         self.conformant = True
@@ -164,26 +166,16 @@ class _StreamDriver(TreeBuilder):
                 "element label %r is not declared by the target schema"
                 % label
             )
-        checker = self.checker
         children = tuple(frame.children)
         word = None
         if self.conformant:
             # Conformance of the original document, tracked as it closes.
             word = tuple(map(symbol_of, children))
             self.words_checked += 1
-            self.conformant = checker.word_ok(word, content)
+            self.conformant = self.checker.word_ok(word, content)
         rewritten = engine.rewrite_forest(
             children, content, self.invoker, self.log, self.stats
         )
-        if word is None or rewritten is not children:
-            word = tuple(map(symbol_of, rewritten))
-        self.words_checked += 1
-        if not checker.word_ok(word, content):
-            raise RewriteError(
-                "rewriting produced a non-conformant document: "
-                "children word %s does not match %s"
-                % (".".join(word) or "eps", content)
-            )
         chunk = None
         if state.start_emitted:
             for child in rewritten[state.flushed:]:
@@ -195,6 +187,8 @@ class _StreamDriver(TreeBuilder):
                                          state.depth)
         node = sealed(label, attributes, chunk)
         if self.receiver is not None and self.refusal is None:
+            if word is None or rewritten is not children:
+                word = tuple(map(symbol_of, rewritten))
             self._receive(node, rewritten, word)
         return node
 
@@ -327,6 +321,7 @@ class _StreamDriver(TreeBuilder):
             final = self.engine.rewrite_node(
                 node, self.invoker, self.log, self.stats
             )
+            self.engine.check_kept(final)
             if self.receiver is not None:
                 self._receive_tree(final)
             self.writer.line(XML_HEADER)
@@ -355,31 +350,21 @@ def stream_rewrite(
     byte-identical to ``document_to_xml`` of the DOM rewrite).  Raises
     the same errors as :meth:`RewriteEngine.rewrite`
     (:class:`DocumentParseError` for malformed input, rewrite/schema
-    errors when the guarantee cannot be met); on error the sink holds a
-    partial prefix that must be discarded.  Handed the receiving peer's
-    checker, the pass also reaches its verdict on what it reads
-    (``receiver_report``), as the DOM delivery step
-    (:func:`repro.axml.delivery.deliver`) does on the whole tree.
+    errors when the guarantee cannot be met or a written word fails the
+    engine's check); on error the sink holds a partial prefix that must
+    be discarded.  The verify step tracks conformance through the
+    engine's checker (an enforcer's, so a pass compiles nothing).
+    Handed the receiving peer's checker, the pass also reaches its
+    verdict on what it reads (``receiver_report``), as the DOM delivery
+    step (:func:`repro.axml.delivery.deliver`) does on the whole tree.
     """
-    checker = InstanceChecker(
-        engine.target_schema, engine.sender_schema, engine.compile_cache
-    )
-    return _stream_rewrite(engine, source, invoker, write, checker, receiver)
-
-
-def _stream_rewrite(
-    engine: RewriteEngine, source, invoker, write, checker: InstanceChecker,
-    receiver: Optional[InstanceChecker] = None,
-) -> StreamResult:
-    """:func:`stream_rewrite` checking through ``checker`` (an
-    enforcer's, so a pass compiles nothing)."""
     if engine.mode == POSSIBLE:
         raise ValueError(
             "streaming enforcement supports safe/auto modes only: "
             "possible-mode execution may invoke services on conformant "
             "words, diverging from the DOM path"
         )
-    driver = _StreamDriver(engine, invoker, write, checker, receiver)
+    driver = _StreamDriver(engine, invoker, write, receiver)
     hits_before, misses_before = engine.cache_stats
     with obs.tracer().span(
         "document", mode=engine.mode, k=engine.k, stream=True
@@ -409,7 +394,9 @@ def _stream_rewrite(
             conformant=result.already_conformant,
         )
     metrics = obs.metrics()
-    record_work(metrics, "check", {"words": driver.words_checked})
+    record_work(metrics, "check", {
+        "words": driver.words_checked + driver.stats["checked"]
+    })
     if metrics.enabled:
         metrics.counter(
             "repro_documents_rewritten_total", "Documents rewritten"

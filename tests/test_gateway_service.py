@@ -275,6 +275,35 @@ def _network_send(scenario, answer, with_network=False):
     return (receipt, network) if with_network else receipt
 
 
+class TestOneEnforcementVerdict:
+    def test_kept_call_fails_alike_on_every_route(self, gateway):
+        # The engine checks the call the output keeps: the JSON route
+        # and a session open answer 422, the streamed trailers say
+        # X-Repro-Ok: false, all with one text, and each counts against
+        # the sender's breaker.
+        from tests.test_enforcement_check import (
+            KEPT_CALL_ERROR, kept_call_scenario,
+        )
+        from repro.xschema.writer import schema_to_xschema
+
+        sender, receiver, document, _invoker = kept_call_scenario()
+        plain, opened, streamed = _exchange_open_and_stream(gateway, (
+            schema_to_xschema(sender), schema_to_xschema(receiver),
+            document.to_xml(),
+        ), "doc-kept")
+        for reply in (plain, opened):
+            assert reply.status == 422, reply.body
+            assert reply.error_code == "enforcement-failed"
+            assert reply.json()["detail"] == KEPT_CALL_ERROR
+        status, _headers, _body, trailers = streamed
+        assert status == 200
+        assert trailers["x-repro-ok"] == "false"
+        assert trailers["x-repro-accepted"] == "false"
+        assert trailers["x-repro-error"] == KEPT_CALL_ERROR
+        breaker = gateway.gateway.admission.breaker_for("carol")
+        assert breaker.consecutive_failures == 3
+
+
 class TestReceiverVerdict:
     """``accepted`` is the receiver's own-vocabulary verdict, not the
     enforcer's (which also reads the sender's signatures), on what the
@@ -459,6 +488,20 @@ class TestMetrics:
         # Enforcement work counters flow into the gateway's registry.
         assert "repro_work_total" in text
 
+    def test_inbound_bytes_are_the_json_document(self, gateway):
+        async def go():
+            client = GatewayClient(gateway.host, gateway.port)
+            try:
+                reply = await client.exchange("alice", "bob", DOCUMENT_XML)
+                assert reply.status == 200, reply.body
+                return await client.metrics_text()
+            finally:
+                await client.close()
+
+        text = run(go())
+        size = len(DOCUMENT_XML.encode("utf-8"))
+        assert 'repro_gateway_bytes_total{direction="in"} %d' % size in text
+
 
 def _node_spans(metrics_text: str):
     """(repro_spans_total, repro_span_seconds_count) for ``node``."""
@@ -519,6 +562,54 @@ class TestEnforcementSpans:
         assert metrics.get("repro_gateway_exchange_seconds").quantile(
             0.99, mode="safe") > 0
         assert metrics.get("repro_span_seconds").tracked == ()
+
+
+class TestOneSpanTreePerRequest:
+    def test_concurrent_requests_keep_their_trees_apart(self):
+        # Three JSON exchanges in flight at once (each call sleeps, so
+        # they overlap): each request's spans, from enforce down to
+        # transfer.*, descend from its own gateway.request, a root.
+        config = GatewayConfig(invoke_delay=0.05)
+        with GatewayThread(config) as harness:
+            async def go():
+                clients = [GatewayClient(harness.host, harness.port)
+                           for _ in range(3)]
+                try:
+                    await _register(clients[0])
+                    harness.gateway.tracer.clear()
+                    replies = await asyncio.gather(*(
+                        client.exchange("alice", "bob", DOCUMENT_XML,
+                                        seed=seed)
+                        for seed, client in enumerate(clients)
+                    ))
+                finally:
+                    for client in clients:
+                        await client.close()
+                return replies
+
+            replies = run(go())
+            spans = harness.gateway.tracer.finished()
+        assert [reply.status for reply in replies] == [200] * 3
+        by_id = {span.span_id: span for span in spans}
+
+        def request_of(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+            return span
+
+        requests = [span for span in spans if span.name == "gateway.request"]
+        assert len(requests) == 3
+        assert all(span.parent_id is None for span in requests)
+        trees = {span.span_id: [] for span in requests}
+        for span in spans:
+            if span.name != "gateway.request":
+                root = request_of(span)
+                assert root.name == "gateway.request", span.name
+                trees[root.span_id].append(span.name)
+        for names in trees.values():
+            for name in ("gateway.exchange", "gateway.job", "enforce",
+                         "transfer.serialize", "transfer.validate"):
+                assert names.count(name) == 1, (name, names)
 
 
 class TestInternalErrors:

@@ -285,6 +285,7 @@ class TestNoPerWordCompilation:
 class TestCheckWorkCounters:
     def test_one_record_per_walk_or_pass(self, monkeypatch):
         from repro.incremental import session as session_module
+        from repro.rewriting import engine as engine_module
         from repro.stream import enforce as stream_module
 
         validate_module = sys.modules["repro.schema.validate"]
@@ -295,7 +296,8 @@ class TestCheckWorkCounters:
             if stage == "check":
                 records.append(dict(counters))
 
-        for module in (validate_module, stream_module, session_module):
+        for module in (validate_module, stream_module, session_module,
+                       engine_module):
             monkeypatch.setattr(module, "record_work", recording)
         width = 6
         enforcer = SchemaEnforcer(
@@ -305,24 +307,23 @@ class TestCheckWorkCounters:
         )
         document = newspaper.wide_document(width)
         assert enforcer.enforce_document(document, _constant_temp).ok
-        # The verify walk stops at the root's word; the post-rewrite
-        # check walks newspaper, title, date and every temp: one record
-        # each.
-        assert len(records) == 2
-        assert records[0] == {"words": 1}
-        assert records[1] == {"words": 3 + width, "diagnoses": 0}
+        # The verify walk stops at the root's word; the engine checks
+        # newspaper, title, date and every temp as it writes them: one
+        # record for the walk, one for the pass.
+        assert records == [{"words": 1}, {"words": 3 + width}]
         records.clear()
         sink = []
         assert enforcer.enforce_stream(
             document.to_xml(), _constant_temp, sink.append
         ).ok
         # One walk per closed call (the call and its city), then one
-        # record for the pass: title, date and newspaper, each checked
-        # before and after its word is rewritten.
-        assert records == [{"words": 2}] * width + [{"words": 6}]
+        # record for the pass: title, date and newspaper checked as they
+        # close, and the words the engine writes, as on the DOM pass.
+        assert records == [{"words": 2}] * width + [{"words": 3 + 3 + width}]
         records.clear()
         assert enforcer.session(document, _constant_temp).enforce().ok
-        assert len(records) == 1
+        # The conformance memo's verify walk, then the engine's pass.
+        assert records == [{"words": 1}, {"words": 3 + width}]
 
     def test_counters_reach_the_registry(self):
         registry = MetricsRegistry()

@@ -209,17 +209,33 @@ class TestCli:
 
         out_dom = files["dir"] / "dom.xml"
         out_stream = files["dir"] / "stream.xml"
-        # --workers 2 selects the per-call-seeded invoker, the sampling
-        # discipline --stream always uses.
         assert main([
             "rewrite", files["doc"], files["star"], files["star2"],
-            "--seed", "7", "--workers", "2", "-o", str(out_dom),
+            "--seed", "7", "-o", str(out_dom),
         ]) == 0
         assert main([
             "rewrite", files["doc"], files["star"], files["star2"],
             "--seed", "7", "--stream", "-o", str(out_stream),
         ]) == 0
         assert out_stream.read_text() == out_dom.read_text()
+
+    def test_one_sampler_at_every_worker_count(self, files, capsys):
+        # One worker, two workers and the stream sample each call alike:
+        # the same bytes for one seed.
+        from repro.cli import main
+
+        outputs = []
+        for name, flags in (("one", ["--workers", "1"]),
+                            ("two", ["--workers", "2"]),
+                            ("stream", ["--stream"])):
+            out = files["dir"] / ("%s.xml" % name)
+            assert main([
+                "rewrite", files["doc"], files["star"], files["star2"],
+                "--seed", "7", "-o", str(out), *flags,
+            ]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "<temp>" in outputs[0]
 
     def test_stream_refuses_possible_mode(self, files, capsys):
         from repro.cli import main
