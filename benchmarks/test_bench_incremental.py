@@ -3,7 +3,8 @@
 A session absorbing single-article edits must beat fresh full
 re-enforcement by ≥ 5x while producing byte-identical receipts, and its
 per-edit re-analysis footprint must track edit locality, not document
-size (the same worst case while the document doubles).  The assertions
+size (the same worst case while the document doubles); so must its
+delivery of the reply, which equals the full path's.  The assertions
 here are the acceptance criteria; the numbers land in
 ``BENCH_incremental.json`` via the shared trajectory convention.
 """
@@ -41,6 +42,13 @@ class TestIncrementalStorm:
             payload["large"]["max_reanalyzed_per_edit"]
             < payload["large"]["document_nodes"] // 4
         )
+
+    def test_session_deliveries_identical_and_local(self, payload):
+        # Each session delivery equals the plain delivery of the fresh
+        # full enforcement, and its lines formatted plus receiver words
+        # checked do not grow with the document.
+        assert payload["identical_deliveries"] is True
+        assert payload["delivery_local"] is True
 
     def test_work_counters_present(self, payload):
         work = payload["work"]["default"]

@@ -309,7 +309,8 @@ class SchemaEnforcer:
                 fault_report=self._fault_report(invoker),
                 cache_hits=hits, cache_misses=misses,
             )
-        record_work(obs.metrics(), "check", {"words": stats["checked"]})
+        finally:  # a failing pass checked words too
+            record_work(obs.metrics(), "check", {"words": stats["checked"]})
         hits, misses = engine.cache_stats
         return EnforcementOutcome(
             None, rewritten, False, len(log), log,

@@ -561,8 +561,11 @@ def run_edit_config(
     After every pass (initial enforcement, then one per applied script)
     the session's receipt is compared field-by-field against a fresh
     full enforcement of the *same* source document with a fresh invoker
-    — the incremental-vs-full oracle.  Returns the disagreements and the
-    receipt sequence (for cross-configuration comparison).
+    — the incremental-vs-full oracle.  The ``delivery`` aspect compares
+    the session's memoized delivery of its output to the scenario's
+    receiver with the plain delivery of the fresh output.  Returns the
+    disagreements and the receipt sequence (for cross-configuration
+    comparison).
     """
     from repro.axml.enforcement import SchemaEnforcer
     from repro.compile import CompilationCache
@@ -595,6 +598,7 @@ def run_edit_config(
         session = enforcer().session(
             base.document, _edit_invoker(base, config)
         )
+        receiver = InstanceChecker(base.exchange_schema)
         steps = [("initial", None)] + [
             ("script-%d" % index, script)
             for index, script in enumerate(scenario.scripts, 1)
@@ -615,10 +619,16 @@ def run_edit_config(
                     incremental,
                     xml=(incremental["xml"] or "") + "<!-- mutated -->",
                 )
-            reference = full_receipt(
-                enforcer().enforce_document(
-                    session.document, _edit_invoker(base, config)
-                )
+            fresh = enforcer().enforce_document(
+                session.document, _edit_invoker(base, config)
+            )
+            reference = full_receipt(fresh)
+            # The session's memoized delivery against the plain one.
+            incremental["delivery"] = (
+                outcome.ok and session.deliver(receiver).observed()
+            )
+            reference["delivery"] = (
+                fresh.ok and deliver(fresh.document, receiver).observed()
             )
             for aspect in sorted(incremental):
                 if incremental[aspect] != reference[aspect]:

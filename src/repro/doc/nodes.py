@@ -10,7 +10,7 @@ its parent's children word — the alphabet the schema regexes range over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from repro.automata.symbols import DATA, intern_symbol
 
@@ -217,3 +217,42 @@ def count_function_nodes(node: Node) -> int:
 def is_extensional(node: Node) -> bool:
     """True iff the subtree contains no function node (fully materialized)."""
     return count_function_nodes(node) == 0
+
+
+class IdentityMemo:
+    """A cache keyed by node identity, validated against the node object.
+
+    Entries hold the node itself (keeping ``id()`` stable and unique for
+    the memo's lifetime) plus a value.  Structural sharing
+    (:func:`with_children`) makes an unedited subtree *the same object*
+    across edits, which makes this an exact, O(1) invalidation scheme: a
+    spine rebuilt by an edit has fresh ids and simply misses.
+    """
+
+    def __init__(self):
+        self._entries: Dict[int, Tuple[Node, object]] = {}
+        #: Hits counted by a user that reports them (the serializer and
+        #: the receiver's walk count the subtrees they reuse).
+        self.reused = 0
+
+    def get(self, node: Node):
+        entry = self._entries.get(id(node))
+        if entry is not None and entry[0] is node:
+            return entry[1]
+        return None
+
+    def put(self, node: Node, value) -> None:
+        self._entries[id(node)] = (node, value)
+
+    def retain(self, live: Set[int]) -> None:
+        """Drop every entry whose node is not in ``live`` (node ids).
+
+        An entry keeps its node alive, so a live node's id cannot belong
+        to another entry: keeping the ids in ``live`` is exact.
+        """
+        self._entries = {
+            key: entry for key, entry in self._entries.items() if key in live
+        }
+
+    def __len__(self) -> int:
+        return len(self._entries)

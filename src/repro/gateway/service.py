@@ -28,8 +28,9 @@ Architecture notes:
   :meth:`Gateway._exchange`): the pool job parses and enforces (the
   engine inside may fan out via the wave scheduler, ``engine_workers``)
   and delivers the reply with the receiving peer's verdict on what it
-  reads (:func:`~repro.axml.delivery.deliver`, or the stream driver as
-  elements close), so the loop only ever awaits;
+  reads (:func:`~repro.axml.delivery.deliver`, a session's memoized
+  delivery on the edit-script route, or the stream driver as elements
+  close), so the loop only ever awaits;
 - every exchange passes the admission gate
   (:class:`~repro.gateway.admission.AdmissionController`): bounded
   queue, per-peer concurrency limits, and per-peer circuit breakers
@@ -54,7 +55,7 @@ from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
-from repro.axml.delivery import deliver
+from repro.axml.delivery import Delivery, deliver
 from repro.axml.enforcement import EnforcementOutcome, SchemaEnforcer
 from repro.compile.cache import CompilationCache
 from repro.doc.document import Document
@@ -527,7 +528,8 @@ class Gateway:
 
         ``job(started)`` enforces; the same pool job then delivers the
         enforced document (:func:`~repro.axml.delivery.deliver`), unless
-        it streamed the reply through ``bridge`` with the receiver's
+        the job delivered it (a session does, through its memos) or
+        streamed the reply through ``bridge`` with the receiver's
         verdict.  ``settle(done)`` runs on the loop, inside the route's
         span (``attributes``), once the job is back.  The route span and
         the job's ``gateway.job`` span hang under the request's span by
@@ -543,9 +545,7 @@ class Gateway:
             with self.tracer.span("gateway.job", parent_id=parent):
                 done = job(started)
                 if done.outcome.ok and done.report is None:
-                    delivery = deliver(done.outcome.document, checker)
-                    done.wire, done.report = delivery.wire, delivery.report
-                    done.out = delivery.size
+                    done.take(deliver(done.outcome.document, checker))
             return done
 
         started = self.clock.now()
@@ -721,7 +721,9 @@ class Gateway:
         materialization cache; ``edits`` applies a typed edit script to
         the open session and re-enforces only what the script touched.
         Responses carry the same receipt as the full path plus the
-        session's reuse accounting.
+        session's reuse accounting.  The job delivers the reply through
+        the session (:meth:`~repro.incremental.session.EnforcementSession
+        .deliver`), under the entry's lock when the session is shared.
         """
         from repro.incremental.edits import (
             EditError, EditScriptError, script_from_json,
@@ -735,10 +737,11 @@ class Gateway:
                 "the session) or 'edits' (apply a script)"
             )
         sender, receiver = self._peers(sender_name, receiver_name)
+        checker = receiver.checker(self.compile_cache)
         event = "applied" if document_xml is None else "opened"
 
         def session_done(session, outcome) -> _Done:
-            return _Done(outcome, {
+            done = _Done(outcome, {
                 "ok": outcome.ok, "event": event,
                 "reused": outcome.nodes_reused,
                 "reanalyzed": outcome.nodes_reanalyzed,
@@ -748,6 +751,9 @@ class Gateway:
                 "passes": session.passes,
                 "reuse": {name: getattr(outcome, name) for name in REUSE},
             }, session=session)
+            if outcome.ok:
+                done.take(session.deliver(checker))
+            return done
 
         def open_job(_started: float) -> _Done:
             document = _parse(document_xml)
@@ -777,8 +783,10 @@ class Gateway:
                 script = script_from_json(edits_payload)
             except EditScriptError as exc:
                 raise BadEditError(str(exc))
-            # Sessions are stateful: scripts for one document serialize on
-            # the entry lock; different documents run in parallel.
+            # Sessions are stateful: scripts for one document, and the
+            # deliveries that read the session's memos, serialize on the
+            # entry lock; different documents run in parallel.  (An opened
+            # session is not shared before ``settle`` registers it.)
             with entry.lock:
                 try:
                     outcome = entry.session.apply(script)
@@ -1004,6 +1012,12 @@ class _Done:
     wire: str = ""  # the reply, unless it was streamed
     report: Optional[ValidationReport] = None
     out: int = 0  # reply bytes
+
+    def take(self, delivery: Delivery) -> None:
+        """Hold the reply and the receiver's verdict on it."""
+        self.wire, self.report, self.out = (
+            delivery.wire, delivery.report, delivery.size
+        )
 
 
 def _receipt(done: _Done) -> dict:

@@ -23,7 +23,13 @@ test_bench_incremental.py`` and recorded in ``BENCH_incremental.json``:
 - the per-edit re-analysis footprint is a function of edit *locality*,
   not document size: the worst-case ``nodes_reanalyzed`` per edit is
   identical at both sizes while the document doubles
-  (``locality_holds`` — deterministic, diffed by CI).
+  (``locality_holds`` — deterministic, diffed by CI);
+- after every edit the session delivers its reply through its memos
+  (:meth:`~repro.incremental.session.EnforcementSession.deliver`) and
+  the full path delivers plainly (:func:`~repro.axml.delivery.deliver`):
+  the deliveries are identical (``identical_deliveries``), and the
+  worst-case lines formatted plus receiver words checked per session
+  delivery is the same at both sizes (``delivery_local``).
 """
 
 from __future__ import annotations
@@ -32,15 +38,30 @@ import random
 import time
 from typing import Dict, List
 
+from repro.axml.delivery import deliver
 from repro.axml.enforcement import SchemaEnforcer
 from repro.compile.cache import CompilationCache
 from repro.doc.builder import el
 from repro.incremental.edits import DocEdit, replace, update_call
 from repro.incremental.session import full_receipt
+from repro.obs import context as obs
 from repro.obs.context import observing
 from repro.obs.metrics import MetricsRegistry, work_snapshot
 from repro.obs.trace import NULL_TRACER
+from repro.schema.validate import InstanceChecker
 from repro.workloads import magazine
+
+#: The work a delivery does: lines formatted and receiver words checked.
+_DELIVERY_WORK = (
+    'repro_work_total{counter="lines",stage="serialize"}',
+    'repro_work_total{counter="words",stage="check"}',
+)
+
+
+def _delivery_work() -> float:
+    """The ambient registry's :data:`_DELIVERY_WORK` so far."""
+    work = work_snapshot(obs.metrics())
+    return sum(work.get(key, 0.0) for key in _DELIVERY_WORK)
 
 
 def _storm(rng: random.Random, articles: int, edits: int) -> List[DocEdit]:
@@ -73,15 +94,19 @@ def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
         target_schema=receiver, sender_schema=sender,
         k=1, mode="safe", compile_cache=shared_cc,
     )
+    checker = InstanceChecker(receiver, None, shared_cc)
     session = enforcer.session(document, magazine.invoker)
     session.enforce()  # the warm-up pass both paths get for free
+    session.deliver(checker)
 
     # Warm the full path's compile cache too, so the speedup measures
     # analysis/materialization reuse rather than automata compilation.
     enforcer.enforce_document(session.document, magazine.invoker)
 
     reanalyzed: List[int] = []
+    delivery_work: List[float] = []
     identical = True
+    identical_deliveries = True
     incremental_elapsed = 0.0
     full_elapsed = 0.0
     current = session.document
@@ -101,6 +126,13 @@ def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
         if outcome.receipt() != full_receipt(fresh):
             identical = False
 
+        before = _delivery_work()
+        delivery = session.deliver(checker)
+        delivery_work.append(_delivery_work() - before)
+        if delivery.observed() != deliver(
+                fresh.document, checker).observed():
+            identical_deliveries = False
+
     nodes = current.size()
     return {
         "articles": articles,
@@ -112,6 +144,8 @@ def _run_size(articles: int, edits: int, seed: str) -> Dict[str, object]:
             sum(reanalyzed) / len(reanalyzed), 2
         ),
         "reanalyzed_bounded": max(reanalyzed) < nodes // 4,
+        "identical_deliveries": identical_deliveries,
+        "max_delivery_work_per_edit": max(delivery_work),
         "incremental_seconds": round(incremental_elapsed, 6),
         "full_seconds": round(full_elapsed, 6),
         "speedup": round(full_elapsed / max(incremental_elapsed, 1e-9), 2),
@@ -143,6 +177,15 @@ def run_incremental(smoke: bool = False) -> dict:
             small["max_reanalyzed_per_edit"]
             == large["max_reanalyzed_per_edit"]
             and large["reanalyzed_bounded"]
+        ),
+        "identical_deliveries": (
+            small["identical_deliveries"] and large["identical_deliveries"]
+        ),
+        # The same claim on the wire: a session delivery formats and
+        # checks only what the edit rebuilt.
+        "delivery_local": (
+            small["max_delivery_work_per_edit"]
+            == large["max_delivery_work_per_edit"]
         ),
         "speedup": large["speedup"],
         "work": {"default": work_snapshot(registry)},

@@ -5,7 +5,7 @@ sequence of edit scripts and re-runs the enforcer's verify → rewrite
 step after each batch, producing outcomes **byte-identical** to a
 full :meth:`~repro.axml.enforcement.SchemaEnforcer.enforce_document`
 over the edited document — while doing work proportional to the edit's
-locality, not the document's size.  Four reuse layers stack up:
+locality, not the document's size.  Five reuse layers stack up:
 
 1. **compile cache** — automata artifacts (DFAs, expansions) and solved
    games live in the enforcer's compilation cache (the ambient
@@ -24,7 +24,12 @@ locality, not the document's size.  Four reuse layers stack up:
    shares every off-spine subtree), so an untouched subtree is the same
    object as last pass and its rewritten result — including the
    invocation-log slice and stats it contributed — replays without
-   visiting a single descendant.
+   visiting a single descendant;
+5. **delivery memos** — :meth:`EnforcementSession.deliver` serializes
+   the enforced document and checks it with the receiver's checker
+   through two identity memos (each multi-line node's own lines, and
+   the receiver's verdict on each subtree it accepted), so after an
+   edit only the rebuilt spine of the reply is formatted and checked.
 
 Identity keying (not value hashing) is what keeps lookups O(1): hashing
 a frozen dataclass is O(subtree), which would silently re-introduce the
@@ -47,9 +52,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.axml.delivery import Delivery, deliver
 from repro.axml.enforcement import EnforcementOutcome
 from repro.doc.document import Document
-from repro.doc.nodes import FunctionCall, Node, Text, children_of, tree_size
+from repro.doc.nodes import (
+    FunctionCall,
+    IdentityMemo,
+    Node,
+    Text,
+    children_of,
+    tree_size,
+)
 from repro.doc.normalize import normalize_document
 from repro.doc.paths import iter_nodes
 from repro.exec.fingerprint import call_fingerprint
@@ -64,42 +77,6 @@ from repro.schema.validate import InstanceChecker
 # ---------------------------------------------------------------------------
 # Identity-keyed caches
 # ---------------------------------------------------------------------------
-
-
-class _IdentityMemo:
-    """A cache keyed by node identity, validated against the node object.
-
-    Entries hold the node itself (keeping ``id()`` stable and unique for
-    the memo's lifetime) plus a value.  Structural sharing guarantees an
-    unedited subtree is *the same object* across edits, which makes this
-    an exact, O(1) invalidation scheme: the spine rebuilt by an edit has
-    fresh ids and simply misses.
-    """
-
-    def __init__(self):
-        self._entries: Dict[int, Tuple[Node, object]] = {}
-
-    def get(self, node: Node):
-        entry = self._entries.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
-        return None
-
-    def put(self, node: Node, value) -> None:
-        self._entries[id(node)] = (node, value)
-
-    def retain(self, live: Set[int]) -> None:
-        """Drop every entry whose node is not in ``live`` (node ids).
-
-        An entry keeps its node alive, so a live node's id cannot belong
-        to another entry: keeping the ids in ``live`` is exact.
-        """
-        self._entries = {
-            key: entry for key, entry in self._entries.items() if key in live
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -138,7 +115,7 @@ class ConformanceMemo:
 
     def __init__(self, checker: InstanceChecker):
         self.checker = checker
-        self._memo = _IdentityMemo()
+        self._memo = IdentityMemo()
         self.checked = 0
         self.reused = 0
 
@@ -241,9 +218,9 @@ class MemoRewriteEngine(RewriteEngine):
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._memo = _IdentityMemo()
+        self._memo = IdentityMemo()
         #: Kept calls that passed :meth:`check_kept`, by identity.
-        self._kept = _IdentityMemo()
+        self._kept = IdentityMemo()
         self.nodes_reanalyzed = 0
         self.nodes_reused = 0
         self.subtree_nodes_reused = 0
@@ -401,6 +378,11 @@ class EnforcementSession:
         self._invoker = CachingInvoker(invoker)
         self._engine = enforcer._engine(MemoRewriteEngine)
         self._verify = ConformanceMemo(enforcer.checker)
+        #: The delivery step's memos (:meth:`deliver`): each enforced
+        #: node's formatted lines, and the verdicts of ``_receiver``.
+        self._lines = IdentityMemo()
+        self._verdicts = IdentityMemo()
+        self._receiver: Optional[InstanceChecker] = None
         self.document = normalize_document(document)
         self.enforced: Optional[Document] = None
         self.last_outcome: Optional[IncrementalOutcome] = None
@@ -408,6 +390,10 @@ class EnforcementSession:
         self.passes = 0
         #: Live nodes counted by the last memo sweep (see :meth:`_sweep`).
         self.live_nodes = 0
+        #: Lines deliveries formatted since the last sweep, and the lines
+        #: of the reply that last swept (see :meth:`deliver`).
+        self._fresh_lines = 0
+        self._reply_lines = 0
 
     # -- the passes -----------------------------------------------------
 
@@ -481,6 +467,41 @@ class EnforcementSession:
             invocations_reused=invoker.reused - inv_reused0,
         )
 
+    # -- delivery -------------------------------------------------------
+
+    def deliver(self, checker: InstanceChecker) -> Delivery:
+        """The last pass's enforced document as the peer holding
+        ``checker`` receives it: :func:`~repro.axml.delivery.deliver`'s
+        delivery, reached through the session's memos.
+
+        An edit rebuilds only its spine of the enforced document; every
+        other subtree is the same object as in the last delivery, so its
+        lines are joined rather than formatted and, once the receiver
+        accepted it, it is not walked again.  Another checker starts a
+        fresh verdict memo.  Not thread-safe: a caller sharing the
+        session delivers under the lock it applies edits under.
+
+        Each line formatted is new memo text, and the old spine's lines
+        it replaces stay until a sweep (:meth:`_sweep`).  So once the
+        deliveries since the last sweep formatted more lines than that
+        sweep's reply had, the delivery sweeps: the memo then holds at
+        most about two replies' lines, and the sweep's walk, O(live
+        nodes), is paid for by as many formatted lines.
+        """
+        if self.enforced is None:
+            raise ValueError("the last pass enforced no document")
+        if checker is not self._receiver:
+            self._receiver, self._verdicts = checker, IdentityMemo()
+        delivery = deliver(self.enforced, checker, self._lines,
+                           self._verdicts)
+        self._fresh_lines += delivery.lines
+        if self._fresh_lines > self._reply_lines:
+            if self._reply_lines:  # (nothing is stale after the first fill)
+                self._sweep()
+            self._fresh_lines = 0
+            self._reply_lines = delivery.wire.count("\n")
+        return delivery
+
     # -- undo and introspection -----------------------------------------
 
     last_inverse: Tuple[DocEdit, ...] = ()
@@ -528,17 +549,20 @@ class EnforcementSession:
         Each edit leaves the replaced spine's entries behind; without a
         sweep they would keep every replaced spine alive for the
         session's lifetime.  The pass that finds a memo holding more
-        than twice the nodes counted at the last sweep walks the live
-        trees (:meth:`live_ids`) once and keeps only their entries —
-        every entry a normal pass or :meth:`undo` can consult — so reuse
-        counters are unchanged and the walk costs O(1) per memo entry
-        created, amortized.
+        than twice the nodes counted at the last sweep (or a delivery,
+        see :meth:`deliver`) walks the live trees (:meth:`live_ids`)
+        once and keeps only their entries — every entry a normal pass or
+        :meth:`undo` can consult — so reuse counters are unchanged and
+        the walk costs O(1) per memo entry created, amortized.
         """
         live = self.live_ids()
         self.live_nodes = len(live)
         self._engine._memo.retain(live)
         self._engine._kept.retain(live)
         self._verify._memo.retain(live)
+        self._lines.retain(live)
+        self._verdicts.retain(live)
+        self._fresh_lines = 0
 
     def cache_snapshot(self) -> Dict[Tuple[int, ...], str]:
         """A canonical view of the cached state *reachable* from the

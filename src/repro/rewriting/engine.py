@@ -236,37 +236,43 @@ class RewriteEngine:
         log = InvocationLog()
         stats = {"words": 0, "product": 0, "mode": SAFE, "checked": 0}
         hits_before, misses_before = self.cache_stats
-        with obs.tracer().span("document", mode=self.mode, k=self.k) as span:
-            root = document.root
-            invoker, exec_report = self._maybe_prefetch(document, invoker)
-            if isinstance(root, Text):
-                result = RewriteResult(document, log, SAFE)
-            else:
-                new_root = self.rewrite_node(root, invoker, log, stats)
-                if type(new_root) is FunctionCall:
-                    self.check_kept(new_root)
-                hits, misses = self.cache_stats
-                result = RewriteResult(
-                    Document(new_root),
-                    log,
-                    stats["mode"],
-                    words_rewritten=stats["words"],
-                    product_nodes=stats["product"],
-                    degraded_functions=tuple(sorted(stats.get("dead", ()))),
-                    cache_hits=hits - hits_before,
-                    cache_misses=misses - misses_before,
-                )
-            result.exec_report = exec_report
-            span.set(
-                mode_used=result.mode_used,
-                words=result.words_rewritten,
-                product_nodes=result.product_nodes,
-                calls=result.calls_made,
-                cache_hits=result.cache_hits,
-                cache_misses=result.cache_misses,
-            )
         metrics = obs.metrics()
-        record_work(metrics, "check", {"words": stats["checked"]})
+        try:
+            with obs.tracer().span(
+                "document", mode=self.mode, k=self.k
+            ) as span:
+                root = document.root
+                invoker, exec_report = self._maybe_prefetch(document, invoker)
+                if isinstance(root, Text):
+                    result = RewriteResult(document, log, SAFE)
+                else:
+                    new_root = self.rewrite_node(root, invoker, log, stats)
+                    if type(new_root) is FunctionCall:
+                        self.check_kept(new_root)
+                    hits, misses = self.cache_stats
+                    result = RewriteResult(
+                        Document(new_root),
+                        log,
+                        stats["mode"],
+                        words_rewritten=stats["words"],
+                        product_nodes=stats["product"],
+                        degraded_functions=tuple(
+                            sorted(stats.get("dead", ()))
+                        ),
+                        cache_hits=hits - hits_before,
+                        cache_misses=misses - misses_before,
+                    )
+                result.exec_report = exec_report
+                span.set(
+                    mode_used=result.mode_used,
+                    words=result.words_rewritten,
+                    product_nodes=result.product_nodes,
+                    calls=result.calls_made,
+                    cache_hits=result.cache_hits,
+                    cache_misses=result.cache_misses,
+                )
+        finally:  # a failing pass checked words too
+            record_work(metrics, "check", {"words": stats["checked"]})
         if metrics.enabled:
             metrics.counter(
                 "repro_documents_rewritten_total", "Documents rewritten"

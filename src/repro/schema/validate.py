@@ -26,6 +26,7 @@ from repro.compile import context as compile_context
 from repro.doc.nodes import (
     Element,
     FunctionCall,
+    IdentityMemo,
     Node,
     Text,
     children_of,
@@ -194,7 +195,8 @@ class InstanceChecker:
         nodes that failed are diagnosed."""
         return self._walk(root, strict, False)[0]
 
-    def receive(self, root: Node) -> Tuple[ValidationReport, bool]:
+    def receive(self, root: Node, memo: Optional[IdentityMemo] = None
+                ) -> Tuple[ValidationReport, bool]:
         """The verdict of the peer holding this checker on what it reads
         from the serialization of ``root``, reached without parsing.
 
@@ -206,24 +208,54 @@ class InstanceChecker:
         bytes rebuild ``root`` itself (wire normal form: every text
         stripped, and a text child of an element non-blank and its only
         child); the report is then :meth:`validate`'s.
-        """
-        return self._walk(root, True, True)
 
-    def _walk(self, root: Node, strict: bool,
-              read: bool) -> Tuple[ValidationReport, bool]:
+        ``memo`` (a session's, for this checker alone) holds, by node
+        identity, each subtree with nodes below its root that an earlier
+        call accepted, with whether it is in wire normal form: such a
+        subtree is not walked again, and is added to ``memo.reused``.
+        Verdict and paths depend on the subtree alone, and only accepted
+        subtrees are held, so the report is the one a full walk reaches.
+        """
+        return self._walk(root, True, True, memo)
+
+    def _walk(self, root: Node, strict: bool, read: bool,
+              memo: Optional[IdentityMemo] = None
+              ) -> Tuple[ValidationReport, bool]:
         """:meth:`validate`, or with ``read`` :meth:`receive`: one
-        iterative pre-order walk; one ``check`` work record."""
+        iterative pre-order walk; one ``check`` work record.
+
+        With ``memo``, ``normal`` is each walked node's own flag until
+        the node's word is checked (a leaf) or its subtree is walked: a
+        node with nodes below it pushes an end mark under them, popped
+        once they are walked, which holds the subtree if the walk found
+        no violation since the node was entered, and restores the flag
+        of the nodes before it.
+        """
         if read:
             from repro.stream.builder import read_word
         violations: List[Violation] = []
         normal = True
         words = 0
+        reused = 0
         stack: list = [((), root)] if type(root) is not Text else []
         while stack:
             path, node = stack.pop()
-            if path is None:  # the builder refuses here, in event order
-                violations = [node]
-                break
+            if path is None:
+                if type(node) is Violation:  # the builder refuses here,
+                    violations = [node]      # in event order
+                    break
+                node, mark, outer = node  # memo only: a subtree ends
+                if len(violations) == mark:
+                    memo.put(node, normal)
+                normal = outer and normal
+                continue
+            if memo is not None:
+                held = memo.get(node)
+                if held is not None:
+                    reused += 1
+                    normal = normal and held
+                    continue
+                mark, outer, normal = len(violations), normal, True
             call = type(node) is FunctionCall
             kids = node.params if call else node.children
             word = tuple(map(symbol_of, kids))
@@ -263,10 +295,17 @@ class InstanceChecker:
             expr = self._type_of(node)
             if not (not strict if expr is None else self.word_ok(word, expr)):
                 violations.append(self.violation(path, node, word))
+            if memo is not None:
+                if word.count(DATA) == len(word):  # a leaf: one word
+                    normal = outer and normal
+                else:
+                    stack.append((None, (node, mark, outer)))
             for index in range(len(kids) - 1, -1, -1):
                 kid = kids[index]
                 if type(kid) is not Text:
                     stack.append((path + (index,), kid))
+        if memo is not None:
+            memo.reused += reused
         diagnoses = sum(v.kind in ("content", "input") for v in violations)
         record_work(
             obs.metrics(), "check", {"words": words, "diagnoses": diagnoses}

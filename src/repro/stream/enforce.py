@@ -366,37 +366,39 @@ def stream_rewrite(
         )
     driver = _StreamDriver(engine, invoker, write, receiver)
     hits_before, misses_before = engine.cache_stats
-    with obs.tracer().span(
-        "document", mode=engine.mode, k=engine.k, stream=True
-    ) as span:
-        driver.parse(source)
-        hits, misses = engine.cache_stats
-        result = StreamResult(
-            log=driver.log,
-            mode_used=driver.stats["mode"],
-            words_rewritten=driver.stats["words"],
-            product_nodes=driver.stats["product"],
-            degraded_functions=tuple(sorted(driver.stats.get("dead", ()))),
-            cache_hits=hits - hits_before,
-            cache_misses=misses - misses_before,
-            already_conformant=driver.conformant,
-            peak_depth=driver.peak_depth,
-            peak_buffered=driver.peak_buffered,
-        )
-        if receiver is not None:
-            result.receiver_report = ValidationReport(
-                [driver.refusal] if driver.refusal is not None else []
-            )
-        span.set(
-            mode_used=result.mode_used,
-            words=result.words_rewritten,
-            calls=result.calls_made,
-            conformant=result.already_conformant,
-        )
     metrics = obs.metrics()
-    record_work(metrics, "check", {
-        "words": driver.words_checked + driver.stats["checked"]
-    })
+    try:
+        with obs.tracer().span(
+            "document", mode=engine.mode, k=engine.k, stream=True
+        ) as span:
+            driver.parse(source)
+            hits, misses = engine.cache_stats
+            result = StreamResult(
+                log=driver.log,
+                mode_used=driver.stats["mode"],
+                words_rewritten=driver.stats["words"],
+                product_nodes=driver.stats["product"],
+                degraded_functions=tuple(sorted(driver.stats.get("dead", ()))),
+                cache_hits=hits - hits_before,
+                cache_misses=misses - misses_before,
+                already_conformant=driver.conformant,
+                peak_depth=driver.peak_depth,
+                peak_buffered=driver.peak_buffered,
+            )
+            if receiver is not None:
+                result.receiver_report = ValidationReport(
+                    [driver.refusal] if driver.refusal is not None else []
+                )
+            span.set(
+                mode_used=result.mode_used,
+                words=result.words_rewritten,
+                calls=result.calls_made,
+                conformant=result.already_conformant,
+            )
+    finally:  # a failing pass checked words too
+        record_work(metrics, "check", {
+            "words": driver.words_checked + driver.stats["checked"]
+        })
     if metrics.enabled:
         metrics.counter(
             "repro_documents_rewritten_total", "Documents rewritten"

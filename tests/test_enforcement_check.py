@@ -20,6 +20,9 @@ from repro.compile import CompilationCache
 from repro.doc.builder import call, el
 from repro.doc.document import Document
 from repro.errors import RewriteError
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry, work_snapshot
+from repro.obs.trace import NULL_TRACER
 from repro.regex.parser import parse_regex
 from repro.rewriting import engine as engine_module
 from repro.rewriting.engine import RewriteEngine
@@ -59,17 +62,20 @@ def _enforcer(sender, receiver):
     )
 
 
-def _four_paths(enforcer, document, invoker, forest, target):
-    """The outcomes of the DOM, session, stream and forest paths."""
+def _four_paths(enforcer, document, invoker, forest, target, only=None):
+    """The outcomes of the DOM, session, stream and forest paths (or of
+    the one path named ``only``)."""
     sink = []
-    return {
-        "dom": enforcer.enforce_document(document, invoker),
-        "session": enforcer.session(document, invoker).enforce(),
-        "stream": enforcer.enforce_stream(
+    paths = {
+        "dom": lambda: enforcer.enforce_document(document, invoker),
+        "session": lambda: enforcer.session(document, invoker).enforce(),
+        "stream": lambda: enforcer.enforce_stream(
             document.to_xml(), invoker, sink.append
         ),
-        "forest": enforcer.enforce_forest(forest, target, invoker),
+        "forest": lambda: enforcer.enforce_forest(forest, target, invoker),
     }
+    return {path: run() for path, run in paths.items()
+            if only in (None, path)}
 
 
 class TestKeptCall:
@@ -199,6 +205,27 @@ class TestLyingSolver:
 
 
 class TestCheckWork:
+    def test_a_failing_pass_counts_the_words_it_checked(self):
+        # The verify walk, the kept call's walk and the words the engine
+        # wrote before the kept call failed (the stream also checks each
+        # word as it closes; the forest path has no verify walk).
+        sender, receiver, document, invoker = kept_call_scenario()
+        enforcer = _enforcer(sender, receiver)
+        words = {}
+        for path in ("dom", "session", "stream", "forest"):
+            registry = MetricsRegistry()
+            with observing(NULL_TRACER, registry):
+                outcome = _four_paths(
+                    enforcer, document, invoker, (call("f"),),
+                    parse_regex("g"), only=path,
+                )[path]
+            assert outcome.error == KEPT_CALL_ERROR, path
+            words[path] = sum(
+                value for key, value in work_snapshot(registry).items()
+                if 'stage="check"' in key and 'counter="words"' in key
+            )
+        assert words == {"dom": 3, "session": 3, "stream": 4, "forest": 2}
+
     def test_an_engine_alone_builds_its_own_checker_once(self):
         sender, receiver, document, invoker = kept_call_scenario()
         engine = RewriteEngine(receiver, sender, policy=allow_only({"f"}),

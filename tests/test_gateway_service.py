@@ -78,10 +78,10 @@ class TestRoundTrip:
         threads = []
         receive = InstanceChecker.receive
 
-        def recording_receive(checker, root):
+        def recording_receive(checker, root, memo=None):
             if checker is receiver_checker:
                 threads.append(threading.current_thread())
-            return receive(checker, root)
+            return receive(checker, root, memo)
 
         monkeypatch.setattr(InstanceChecker, "receive", recording_receive)
 
